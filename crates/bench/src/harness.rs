@@ -164,6 +164,37 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out.expect("at least one rep"), best)
 }
 
+/// Times `run(traced)` `reps` times per side, with the tracer off and with
+/// a [`cgte_obs::NoopSink`] installed at [`cgte_obs::LEVEL_DETAIL`],
+/// alternating the sides ABBA (off, traced, traced, off, …) so a drift in
+/// host speed lands on both. The sink is installed and shut down around
+/// each traced rep, outside its timed window. Returns each side's last
+/// result and best time, `(off, traced)`.
+fn best_of_off_traced<T>(reps: usize, mut run: impl FnMut(bool) -> T) -> ((T, f64), (T, f64)) {
+    let mut off = (None, f64::INFINITY);
+    let mut traced = (None, f64::INFINITY);
+    for i in 0..2 * reps.max(1) {
+        let is_traced = matches!(i % 4, 1 | 2);
+        if is_traced {
+            cgte_obs::install(
+                std::sync::Arc::new(cgte_obs::NoopSink),
+                cgte_obs::LEVEL_DETAIL,
+            );
+        }
+        let start = Instant::now();
+        let r = run(is_traced);
+        let dt = secs(start);
+        if is_traced {
+            cgte_obs::shutdown();
+        }
+        let side = if is_traced { &mut traced } else { &mut off };
+        side.0 = Some(r);
+        side.1 = side.1.min(dt);
+    }
+    let last = |side: (Option<T>, f64)| (side.0.expect("at least one rep"), side.1);
+    (last(off), last(traced))
+}
+
 /// Wall-clock speedup for fixed-size workloads (build, estimate): the
 /// same work at every thread count, so time ratios are the right metric.
 fn speedup(runs: &[TimedRun]) -> f64 {
@@ -1346,19 +1377,13 @@ fn bench_obs(g: &Graph, opts: &BenchOptions) -> Result<ObsEntry, String> {
     let steps = if opts.quick { 4_000_000 } else { 8_000_000 };
     let reps = SERIAL_REPS + 2;
     let sampler = RandomWalk::new();
-    let run_walk = || {
+    let run_walk = |_traced| {
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x0B5);
         let mut buf = Vec::with_capacity(steps);
         sampler.sample_into(g, steps, &mut rng, &mut buf);
         buf.len()
     };
-    let (_, walk_off_secs) = best_of(reps, run_walk);
-    cgte_obs::install(
-        std::sync::Arc::new(cgte_obs::NoopSink),
-        cgte_obs::LEVEL_DETAIL,
-    );
-    let (_, walk_traced_secs) = best_of(reps, run_walk);
-    cgte_obs::shutdown();
+    let ((_, walk_off_secs), (_, walk_traced_secs)) = best_of_off_traced(reps, run_walk);
     let walk = ObsWorkload {
         off_secs: walk_off_secs,
         traced_secs: walk_traced_secs,
@@ -1442,14 +1467,11 @@ fn bench_obs(g: &Graph, opts: &BenchOptions) -> Result<ObsEntry, String> {
     };
     // Warm-up (graph load + neighbor-category index) outside both windows.
     run_serve(1)?;
-    let (requests, serve_off_secs) = best_of(SERIAL_REPS, || run_serve(100));
+    let ((requests, serve_off_secs), (traced_requests, serve_traced_secs)) =
+        best_of_off_traced(SERIAL_REPS, |traced| {
+            run_serve(if traced { 200 } else { 100 })
+        });
     let requests = requests?;
-    cgte_obs::install(
-        std::sync::Arc::new(cgte_obs::NoopSink),
-        cgte_obs::LEVEL_DETAIL,
-    );
-    let (traced_requests, serve_traced_secs) = best_of(SERIAL_REPS, || run_serve(200));
-    cgte_obs::shutdown();
     let traced_requests = traced_requests?;
     assert_eq!(requests, traced_requests, "identical request scripts");
     server.shutdown();

@@ -101,6 +101,11 @@ impl CategoryMatrix {
         self.data.fill(0.0);
     }
 
+    /// Heap bytes held by the stored triangle.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Whether every entry is exactly zero.
     pub fn is_zero(&self) -> bool {
         self.data.iter().all(|&x| x == 0.0)

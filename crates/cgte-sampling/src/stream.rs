@@ -77,6 +77,12 @@ impl ObservationStream {
         self.induced.reset();
     }
 
+    /// Heap bytes held by both accumulators (both logs, the induced
+    /// membership bitset and `node_mass` table, the `O(C²)` sums).
+    pub fn heap_bytes(&self) -> usize {
+        self.star.heap_bytes() + self.induced.heap_bytes()
+    }
+
     /// Folds one sampled node with design weight `w` into both
     /// accumulators.
     ///

@@ -7,19 +7,21 @@
 //! identity on both sides, merge associativity (bit-exact — every
 //! association replays the same push sequence), commutativity only up to
 //! floating-point reordering (checked approximately, documented as such),
-//! and range-chunked `NeighborCategoryIndex` builds recombining to the
-//! monolithic index.
+//! range-chunked `NeighborCategoryIndex` builds recombining to the
+//! monolithic index, and an induced accumulator reused across `reset()`
+//! and graphs of different sizes staying equal to a fresh one.
 
+use cgte_core::edge_weight::{induced_weights_acc, induced_weights_all};
 use cgte_core::{estimate_stream, StarSizeOptions};
 use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::{Graph, NodeId, Partition};
+use cgte_graph::{CategoryMatrix, Graph, GraphBuilder, NodeId, Partition};
 use cgte_sampling::{
-    DesignKind, NeighborCategoryIndex, NodeSampler, ObservationContext, ObservationStream,
-    RandomWalk, UniformIndependence,
+    DesignKind, InducedAccumulator, InducedSample, NeighborCategoryIndex, NodeSampler,
+    ObservationContext, ObservationStream, RandomWalk, UniformIndependence,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A small planted graph: three unbalanced categories, dense enough that
 /// induced pairs actually occur in short samples.
@@ -78,6 +80,29 @@ fn check_merge_law(g: &Graph, p: &Partition, nodes: &[NodeId], design: DesignKin
     let a = estimate_stream(&left, pop, &opts);
     let b = estimate_stream(&whole, pop, &opts);
     assert_eq!(a, b, "snapshot after merge differs at split {split}");
+}
+
+/// A G(n, 1/4) graph over `n` nodes with three categories, some of them
+/// possibly empty.
+fn random_graph(n: usize, seed: u64) -> (Graph, Partition) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for u in 0..n as NodeId {
+        for v in u + 1..n as NodeId {
+            if rng.gen_range(0..4) == 0 {
+                edges.push((u, v));
+            }
+        }
+    }
+    let g = GraphBuilder::from_edges(n, edges).unwrap();
+    let cats = (0..n).map(|_| rng.gen_range(0..3)).collect();
+    (g, Partition::from_assignments(cats, 3).unwrap())
+}
+
+fn matrix_bits(m: &CategoryMatrix) -> Vec<(u32, u32, u64)> {
+    m.iter_upper()
+        .map(|(a, b, x)| (a, b, x.to_bits()))
+        .collect()
 }
 
 proptest! {
@@ -222,6 +247,39 @@ proptest! {
             lo = hi;
         }
         prop_assert_eq!(merged.unwrap(), serial);
+    }
+
+    #[test]
+    fn reused_induced_accumulator_matches_fresh_and_from_scratch(
+        seed in 0u64..32,
+        len in 0usize..40,
+    ) {
+        // Node counts straddle the bitset's 64-bit words; the order makes
+        // the reused accumulator shrink to one node, then grow past its
+        // first graph after a reset.
+        let mut reused = InducedAccumulator::new(3);
+        for (k, n) in [65usize, 1, 200, 63].into_iter().enumerate() {
+            reused.reset();
+            prop_assert_eq!(&reused, &InducedAccumulator::new(3));
+            let (g, p) = random_graph(n, seed * 4 + k as u64);
+            let ctx = ObservationContext::new(&g, &p);
+            let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+            let nodes: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n as NodeId)).collect();
+            let w: Vec<f64> = nodes.iter().map(|&v| g.degree(v) as f64 + 0.5).collect();
+            let mut fresh = InducedAccumulator::new(3);
+            for i in 0..len {
+                reused.push(&ctx, nodes[i], w[i]);
+                fresh.push(&ctx, nodes[i], w[i]);
+                prop_assert_eq!(&reused, &fresh, "n {} prefix {}", n, i + 1);
+                let sample =
+                    InducedSample::observe_with_weights(&g, &p, &nodes[..=i], w[..=i].to_vec());
+                prop_assert_eq!(
+                    matrix_bits(&induced_weights_acc(&reused)),
+                    matrix_bits(&induced_weights_all(&sample)),
+                    "n {} prefix {}", n, i + 1
+                );
+            }
+        }
     }
 }
 

@@ -296,11 +296,19 @@ impl Default for ServeConfig {
     }
 }
 
+/// A live session behind its lock, plus the heap bytes of its stream as
+/// of its last ingest — kept outside the lock so a `/metrics` scrape never
+/// waits on a session.
+struct SessionSlot {
+    session: Mutex<Session>,
+    heap_bytes: AtomicU64,
+}
+
 /// One session-table entry: the session plus its idle clock (milliseconds
 /// since server start, updated on every lookup — read without taking the
 /// session's own lock so eviction sweeps never block behind an ingest).
 struct SessionEntry {
-    session: Arc<Mutex<Session>>,
+    slot: Arc<SessionSlot>,
     last_used: AtomicU64,
 }
 
@@ -841,7 +849,14 @@ fn healthz(state: &ServerState) -> String {
 fn metrics(state: &ServerState) -> String {
     use std::fmt::Write as _;
     evict_expired(state);
-    let sessions = state.sessions.lock().expect("sessions lock poisoned").len();
+    let (sessions, heap_bytes) = {
+        let map = state.sessions.lock().expect("sessions lock poisoned");
+        let heap: u64 = map
+            .values()
+            .map(|e| e.slot.heap_bytes.load(Ordering::Relaxed))
+            .sum();
+        (map.len(), heap)
+    };
     let mut out = String::with_capacity(2048);
     let mut emit = |name: &str, kind: &str, help: &str, value: String| {
         let _ = write!(
@@ -854,6 +869,12 @@ fn metrics(state: &ServerState) -> String {
         "gauge",
         "Currently open sessions.",
         sessions.to_string(),
+    );
+    emit(
+        "cgte_serve_session_heap_bytes",
+        "gauge",
+        "Heap bytes of open sessions' observation streams (push logs, membership bitsets, node-mass tables), as of each session's last ingest.",
+        heap_bytes.to_string(),
     );
     emit(
         "cgte_serve_sessions_created_total",
@@ -1103,7 +1124,7 @@ fn evict_expired(state: &ServerState) {
     let mut map = state.sessions.lock().expect("sessions lock poisoned");
     let before = map.len();
     map.retain(|_, e| {
-        Arc::strong_count(&e.session) > 1
+        Arc::strong_count(&e.slot) > 1
             || now.saturating_sub(e.last_used.load(Ordering::Relaxed)) <= ttl_ms
     });
     let evicted = (before - map.len()) as u64;
@@ -1132,7 +1153,10 @@ fn insert_session(state: &ServerState, id: String, session: Session) -> Result<(
     map.insert(
         id,
         SessionEntry {
-            session: Arc::new(Mutex::new(session)),
+            slot: Arc::new(SessionSlot {
+                heap_bytes: AtomicU64::new(session.heap_bytes() as u64),
+                session: Mutex::new(session),
+            }),
             last_used: AtomicU64::new(state.now_ms()),
         },
     );
@@ -1178,13 +1202,13 @@ fn open_session(state: &ServerState, body: &[u8]) -> Result<String, ServeError> 
     Ok(response)
 }
 
-fn get_session(state: &ServerState, id: &str) -> Result<Arc<Mutex<Session>>, ServeError> {
+fn get_session(state: &ServerState, id: &str) -> Result<Arc<SessionSlot>, ServeError> {
     evict_expired(state);
     let map = state.sessions.lock().expect("sessions lock poisoned");
     match map.get(id) {
         Some(e) => {
             e.last_used.store(state.now_ms(), Ordering::Relaxed);
-            Ok(Arc::clone(&e.session))
+            Ok(Arc::clone(&e.slot))
         }
         None => Err(ServeError::not_found(format!("unknown session {id:?}"))),
     }
@@ -1192,8 +1216,8 @@ fn get_session(state: &ServerState, id: &str) -> Result<Arc<Mutex<Session>>, Ser
 
 fn ingest(state: &ServerState, id: &str, body: &[u8]) -> Result<String, ServeError> {
     let v = parse_body(body)?;
-    let session = get_session(state, id)?;
-    let mut session = session.lock().expect("session lock poisoned");
+    let slot = get_session(state, id)?;
+    let mut session = slot.session.lock().expect("session lock poisoned");
     let ingested = match (v.get("nodes"), v.get("steps")) {
         (Some(Json::Arr(items)), None) => {
             let mut nodes = Vec::with_capacity(items.len());
@@ -1226,12 +1250,7 @@ fn ingest(state: &ServerState, id: &str, body: &[u8]) -> Result<String, ServeErr
             if steps == 0 {
                 return Err(ServeError::unprocessable("steps must be positive"));
             }
-            const MAX_STEPS: usize = 10_000_000;
-            if steps > MAX_STEPS {
-                return Err(ServeError::unprocessable(format!(
-                    "steps {steps} exceeds the per-request budget of {MAX_STEPS}"
-                )));
-            }
+            // `ingest_steps` checks the walk budget before walking.
             session.ingest_steps(steps)?
         }
         _ => {
@@ -1240,6 +1259,8 @@ fn ingest(state: &ServerState, id: &str, body: &[u8]) -> Result<String, ServeErr
             ))
         }
     };
+    slot.heap_bytes
+        .store(session.heap_bytes() as u64, Ordering::Relaxed);
     Ok(format!(
         "{{\"session\":{},\"ingested\":{ingested},\"len\":{}}}",
         fmt_str(id),
@@ -1273,8 +1294,8 @@ fn estimate(state: &ServerState, id: &str, req: &http::Request) -> Result<String
             Some((level, reps))
         }
     };
-    let session = get_session(state, id)?;
-    let mut session = session.lock().expect("session lock poisoned");
+    let slot = get_session(state, id)?;
+    let mut session = slot.session.lock().expect("session lock poisoned");
     Ok(session.estimate_json(ci))
 }
 
@@ -1333,9 +1354,9 @@ fn snapshot_path(state: &ServerState, name: &str) -> PathBuf {
 /// file stem (default: the session id).
 fn snapshot_save(state: &ServerState, id: &str, req: &http::Request) -> Result<String, ServeError> {
     let name = sanitize_snapshot_name(req.query_value("name").unwrap_or(id))?.to_string();
-    let session = get_session(state, id)?;
+    let slot = get_session(state, id)?;
     let (bytes, len) = {
-        let session = session.lock().expect("session lock poisoned");
+        let session = slot.session.lock().expect("session lock poisoned");
         (session.snapshot_bytes(), session.len())
     };
     let path = snapshot_path(state, &name);
@@ -1368,8 +1389,8 @@ fn snapshot_save(state: &ServerState, id: &str, req: &http::Request) -> Result<S
 /// `GET /sessions/{id}/snapshot` — the `.cgtes` bytes over the wire (the
 /// coordinator checkpoints remote shards without sharing a filesystem).
 fn snapshot_download(state: &ServerState, id: &str) -> Result<Vec<u8>, ServeError> {
-    let session = get_session(state, id)?;
-    let session = session.lock().expect("session lock poisoned");
+    let slot = get_session(state, id)?;
+    let session = slot.session.lock().expect("session lock poisoned");
     Ok(session.snapshot_bytes())
 }
 

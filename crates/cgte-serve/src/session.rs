@@ -24,6 +24,22 @@ use std::sync::Arc;
 pub const MAX_BOOTSTRAP_REPS: usize = 2000;
 /// Default bootstrap replicate count.
 pub const DEFAULT_BOOTSTRAP_REPS: usize = 200;
+/// Caps the chain transitions one walk ingest may run:
+/// `burn_in + steps · thinning`.
+pub const MAX_WALK_BUDGET: usize = 10_000_000;
+
+/// Rejects (422) a walk ingest of `steps` retained samples whose chain
+/// cost `burn_in + steps · thinning` (saturating) exceeds
+/// [`MAX_WALK_BUDGET`].
+fn check_walk_budget(burn_in: usize, thinning: usize, steps: usize) -> Result<(), ServeError> {
+    let cost = steps.saturating_mul(thinning).saturating_add(burn_in);
+    if cost > MAX_WALK_BUDGET {
+        return Err(ServeError::unprocessable(format!(
+            "walk budget burn_in + steps*thinning = {burn_in} + {steps}*{thinning} exceeds {MAX_WALK_BUDGET}"
+        )));
+    }
+    Ok(())
+}
 
 /// `.cgtes` section holding the registry name of the session's graph.
 pub const SEC_GRAPH: &str = "session.graph";
@@ -134,6 +150,8 @@ pub struct Session {
 impl Session {
     /// Opens a session against a loaded graph. `index_threads` bounds the
     /// one-time parallel index build if this is the partition's first use.
+    /// A spec whose 1-step ingest would exceed [`MAX_WALK_BUDGET`] is
+    /// rejected (422); this covers `POST /sessions` and every restore.
     pub fn open(
         id: String,
         graph: Arc<LoadedGraph>,
@@ -165,6 +183,7 @@ impl Session {
         };
         let p = &graph.partitions[part_idx].1;
         let thinning = spec.thinning.max(1);
+        check_walk_budget(spec.burn_in, thinning, 1)?;
         let (sampler, design) = build_sampler(
             &graph.graph,
             p,
@@ -214,6 +233,11 @@ impl Session {
     /// Whether nothing was ingested yet.
     pub fn is_empty(&self) -> bool {
         self.stream.is_empty()
+    }
+
+    /// Heap bytes held by the session's observation stream.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.stream.heap_bytes()
     }
 
     /// The population size `N` estimates are scaled by.
@@ -280,8 +304,10 @@ impl Session {
     /// persistent RNG stream (multi-walk semantics, like the paper's
     /// parallel crawl campaigns); a single-batch session is therefore
     /// bit-identical to the batch runner's draw for the same seed.
-    /// Sampler-level failures (edgeless graph) surface as HTTP 422.
+    /// Sampler-level failures (edgeless graph) and a walk past
+    /// [`MAX_WALK_BUDGET`] surface as HTTP 422.
     pub fn ingest_steps(&mut self, steps: usize) -> Result<usize, ServeError> {
+        check_walk_budget(self.spec.burn_in, self.spec.thinning, steps)?;
         let mut nodes = std::mem::take(&mut self.scratch);
         let mut stats = cgte_sampling::WalkStats::default();
         let result = self.sampler.try_sample_into_stats(

@@ -5,7 +5,8 @@
 //! monotone, `_sum`/`_count` consistent — plus the endpoint-accounting
 //! contract: scrape traffic (`/healthz`, `/metrics`) is counted under
 //! its own endpoint label and **excluded** from the aggregate request
-//! counter.
+//! counter. The per-session heap gauge reads the open sessions' stream
+//! memory and drops back when they close.
 
 use cgte_graph::generators::{planted_partition, PlantedConfig};
 use cgte_graph::store::{graph_sections, partition_section, Container, Section};
@@ -97,13 +98,20 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .request("GET", "/sessions/nope/estimate", "")
         .unwrap();
     assert_eq!(st, 404);
+    // First scrape, with s0 live: its stream's heap bytes cover at least
+    // both 300-entry push logs. It is also counted under the metrics
+    // endpoint label so the second scrape (the one we validate) can see it.
+    let (st, live) = client.request("GET", "/metrics", "").unwrap();
+    assert_eq!(st, 200);
+    promtext::validate(&live).unwrap_or_else(|e| panic!("invalid exposition: {e:?}"));
+    let live_heap = promtext::parse(&live)
+        .unwrap()
+        .value("cgte_serve_session_heap_bytes")
+        .unwrap();
+    assert!(live_heap >= (2 * 300 * 16) as f64, "live heap: {live_heap}");
     let (st, _) = client.request("DELETE", "/sessions/s0", "").unwrap();
     assert_eq!(st, 200);
     let (st, _) = client.request("GET", "/healthz", "").unwrap();
-    assert_eq!(st, 200);
-    // First scrape: gets counted under the metrics endpoint label so the
-    // second scrape (the one we validate) can see it.
-    let (st, _) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(st, 200);
     let (st, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(st, 200);
@@ -129,6 +137,17 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
             .get("cgte_serve_response_size_bytes")
             .map(String::as_str),
         Some("histogram")
+    );
+    assert_eq!(
+        exp.types
+            .get("cgte_serve_session_heap_bytes")
+            .map(String::as_str),
+        Some("gauge")
+    );
+    assert_eq!(
+        exp.value("cgte_serve_session_heap_bytes"),
+        Some(0.0),
+        "closed sessions hold no accounted heap"
     );
 
     // Endpoint accounting: scrape endpoints appear under their own

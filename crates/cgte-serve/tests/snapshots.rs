@@ -108,6 +108,13 @@ fn bytes_request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u1
     (resp.status, resp.body)
 }
 
+fn session_id(body: &str) -> String {
+    match parse_json(body).unwrap().get("session") {
+        Some(Json::Str(id)) => id.clone(),
+        other => panic!("no session id in {body}: {other:?}"),
+    }
+}
+
 fn json_u64(body: &str, key: &str) -> u64 {
     match parse_json(body).unwrap().get(key) {
         Some(Json::Num(x)) => *x as u64,
@@ -256,6 +263,82 @@ fn restore_rejects_bad_input() {
     let (st, _) = bytes_request(addr, "POST", "/sessions/restore", &clean[..clean.len() - 7]);
     assert_eq!(st, 422);
 
+    server.shutdown();
+    server.join();
+}
+
+/// Every walk a session can run is bounded by `burn_in + steps·thinning`,
+/// at open, at restore (a hostile `.cgtes` cannot smuggle in a huge
+/// burn-in) and at ingest; rejections are 422 and leave the server live.
+#[test]
+fn walk_budget_bounds_open_restore_and_ingest() {
+    use cgte_serve::session::{MAX_WALK_BUDGET, SEC_PARAMS};
+    let dir = temp_store("budget");
+    let (g, p) = planted();
+    write_graph(&dir, "planted", &g, &p);
+    let server = boot(&dir, |c| c);
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+
+    let (st, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        "{\"graph\":\"planted\",\"sampler\":\"rw\",\"burn_in\":1e12}",
+    );
+    assert_eq!(st, 422, "{body}");
+    let (st, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        "{\"graph\":\"planted\",\"sampler\":\"rw\",\"thinning\":1e12}",
+    );
+    assert_eq!(st, 422, "{body}");
+
+    // A burn-in that fits one step exactly opens; two steps do not fit.
+    let (st, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        &format!(
+            "{{\"graph\":\"planted\",\"sampler\":\"rw\",\"burn_in\":{}}}",
+            MAX_WALK_BUDGET - 1
+        ),
+    );
+    assert_eq!(st, 200, "{body}");
+    let id = session_id(&body);
+    let (st, _) = client.request_ok("POST", &format!("/sessions/{id}/ingest"), "{\"steps\":2}");
+    assert_eq!(st, 422);
+    let (st, _) = client.request_ok("DELETE", &format!("/sessions/{id}"), "");
+    assert_eq!(st, 200);
+
+    // Steps alone are bounded too.
+    let (_, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        "{\"graph\":\"planted\",\"sampler\":\"rw\",\"seed\":3}",
+    );
+    let id = session_id(&body);
+    let (st, _) = client.request_ok(
+        "POST",
+        &format!("/sessions/{id}/ingest"),
+        &format!("{{\"steps\":{}}}", MAX_WALK_BUDGET + 1),
+    );
+    assert_eq!(st, 422);
+    let (st, _) = client.request_ok("POST", &format!("/sessions/{id}/ingest"), "{\"steps\":20}");
+    assert_eq!(st, 200);
+
+    // A well-formed snapshot whose params carry a 1e12 burn-in.
+    let (st, clean) = bytes_request(addr, "GET", &format!("/sessions/{id}/snapshot"), b"");
+    assert_eq!(st, 200);
+    let mut c = snapshot::read_snapshot(&clean[..]).unwrap();
+    let seed = c.u64s(SEC_PARAMS).unwrap()[0];
+    c.take(SEC_PARAMS);
+    c.push(Section::u64s(SEC_PARAMS, vec![seed, 1_000_000_000_000, 1]));
+    let mut hostile = Vec::new();
+    snapshot::write_snapshot(&mut hostile, &c).unwrap();
+    let (st, body) = bytes_request(addr, "POST", "/sessions/restore", &hostile);
+    assert_eq!(st, 422, "{}", String::from_utf8_lossy(&body));
+
+    let (st, _) = client.request_ok("GET", "/healthz", "");
+    assert_eq!(st, 200);
     server.shutdown();
     server.join();
 }
