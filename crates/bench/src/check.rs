@@ -40,8 +40,7 @@ pub const LATENCY_FLOOR_MS: f64 = 0.5;
 /// that bound run-to-run. Only a tail at the scale of the whole
 /// schedule is signal (the server fell behind by the entire run), so
 /// both sides clamp up to the schedule scale first; the stable
-/// regression gates for this section are `achieved_rps` and the
-/// idle-CPU ratio.
+/// regression gate for this section is `achieved_rps`.
 pub const OPEN_LOOP_LATENCY_FLOOR_MS: f64 = 2_000.0;
 
 /// How a metric travels between machines.
@@ -260,11 +259,8 @@ fn extract(report: &str, label: &str) -> Result<Extracted, String> {
     }
     // Reports written before the serve_open section existed (PR9 and
     // earlier) simply contribute no open-loop metrics. Per-connection-
-    // count throughput and tail latency are absolute (machine-matched);
-    // the idle-CPU ratio — parked-connection CPU under the polling
-    // fallback over the event engine, both sides timed back to back on
-    // one box — is internal and always gates: a collapsing ratio means
-    // idle connections stopped being nearly free.
+    // count throughput and tail latency are absolute (machine-matched).
+    // An `idle` object in older reports is ignored.
     if let Some(serve_open) = v.get("serve_open") {
         let ctx = format!("{label}: serve_open");
         for run in arr(serve_open, "runs", &ctx)? {
@@ -278,24 +274,6 @@ fn extract(report: &str, label: &str) -> Result<Extracted, String> {
                 format!("serve_open/p99_ms@{conns}"),
                 num(run, "p99_ms", &ctx)?,
                 OPEN_LOOP_LATENCY_FLOOR_MS,
-            ));
-        }
-        if let Some(idle) = serve_open.get("idle") {
-            // The raw ratio is the fallback's per-wakeup cost in units
-            // of the one-scheduler-tick floor the event side always
-            // reads as — a hardware constant that legitimately varies
-            // across runner classes. The claim the gate pins is
-            // categorical, not proportional: parking a connection on
-            // the event engine is at least an order of magnitude
-            // cheaper than the polling fallback. Capping both sides at
-            // 10 makes the comparison exactly that claim — every
-            // healthy report saturates the cap, while a real regression
-            // (the event loop starting to poll or spin) crashes the
-            // ratio toward 1 and fails on any hardware.
-            metrics.push(Metric::throughput(
-                "serve_open/idle_cpu_ratio".into(),
-                num(idle, "idle_cpu_ratio", &ctx)?.min(10.0),
-                MetricClass::Ratio,
             ));
         }
     }
@@ -424,7 +402,7 @@ mod tests {
   "load": {{"generator":"chung_lu","nodes":1000,"edges":5000,"write_secs":0.1,"load_secs":0.01,"mmap_secs":0.001,"regen_secs":0.5,"load_edges_per_sec":{l1:.1},"mmap_edges_per_sec":5000000.0,"regen_edges_per_sec":10000.0,"speedup_vs_regen":{lr:.3},"mmap_vs_heap":{lm:.3},"identical":true,"mmap_identical":true,"mapped":true}},
   "snapshot": {{"nodes":1000,"categories":10,"samples":50000,"bytes":1200000,"write_secs":0.01,"restore_secs":0.02,"write_samples_per_sec":{sw:.1},"restore_samples_per_sec":{sr:.1},"identical":true}},
   "serve": {{"nodes":1000,"edges":5000,"categories":10,"rounds":25,"steps_per_ingest":200,"best_speedup":1.0,"runs":[{{"threads":1,"secs":1.0,"requests":100,"requests_per_sec":{s1:.1},"p50_ms":{p50:.4},"p99_ms":{p99:.4}}}]}},
-  "serve_open": {{"target_rps":800.0,"drivers":4,"steps_per_ingest":200,"runs":[{{"requested_conns":1000,"open_conns":1000,"requests":1600,"secs":2.0,"achieved_rps":{so1:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99:.4}}},{{"requested_conns":10000,"open_conns":9800,"requests":1600,"secs":2.1,"achieved_rps":{so2:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99b:.4}}}],"idle":{{"event_conns":1000,"fallback_conns":256,"window_secs":2.0,"idle_poll_ms":50,"event_cpu_per_conn_sec":5.000e-6,"fallback_cpu_per_conn_sec":5.900e-4,"idle_cpu_ratio":{soir:.3}}}}},
+  "serve_open": {{"target_rps":800.0,"drivers":4,"steps_per_ingest":200,"runs":[{{"requested_conns":1000,"open_conns":1000,"requests":1600,"secs":2.0,"achieved_rps":{so1:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99:.4}}},{{"requested_conns":10000,"open_conns":9800,"requests":1600,"secs":2.1,"achieved_rps":{so2:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99b:.4}}}]}},
   "cluster": {{"shards":4,"walkers":16,"steps_per_walker":400,"batch":100,"bit_identical":true,"best_speedup":{cs:.3},"runs":[{{"threads":1,"secs":1.0,"samples_per_sec":{c1:.1}}},{{"threads":2,"secs":0.6,"samples_per_sec":{c2:.1}}}]}},
   "obs": {{"walk_steps":1000000,"walk_off_secs":0.1,"walk_traced_secs":0.1,"walk_steps_per_sec_off":10000000.0,"walk_steps_per_sec_traced":10000000.0,"walk_traced_ratio":{ow:.4},"serve_rounds":400,"serve_requests":801,"serve_off_secs":0.1,"serve_traced_secs":0.1,"serve_requests_per_sec_off":8000.0,"serve_requests_per_sec_traced":8000.0,"serve_traced_ratio":{os:.4}}}
 }}
@@ -447,7 +425,6 @@ mod tests {
             // tests exercise the open-loop tail gate past its clamp.
             sop99 = 2_400.0 / f,
             sop99b = 4_000.0 / f,
-            soir = 100.0 * ratio_f,
             cs = 1.7 * ratio_f,
             c1 = 6400.0 * f,
             c2 = 10600.0 * f,
@@ -485,17 +462,10 @@ mod tests {
 
     #[test]
     fn small_regression_only_warns() {
-        // 15% down: past the warn line, short of the fail line. (The
-        // idle-CPU ratio drops 100 → 85 but both sides saturate its
-        // cap of 10, so it is compared without warning — by design.)
+        // 15% down: past the warn line, short of the fail line.
         let out = check_reports(&report(1, 0.85, 0.85), &report(1, 1.0, 1.0)).unwrap();
         assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert_eq!(
-            out.warnings.len(),
-            out.compared - 1,
-            "every uncapped metric warns"
-        );
-        assert!(out.warnings.iter().all(|w| !w.contains("idle_cpu_ratio")));
+        assert_eq!(out.warnings.len(), out.compared, "every metric warns");
     }
 
     #[test]
@@ -531,8 +501,8 @@ mod tests {
         let out = check_reports(&report(8, 0.5, 0.5), &report(1, 1.0, 1.0)).unwrap();
         assert!(out.skipped > 0, "absolute metrics skipped");
         assert_eq!(
-            out.compared, 5,
-            "only the machine-independent ratios are compared (2 load + 2 obs + idle CPU)"
+            out.compared, 4,
+            "only the machine-independent ratios are compared (2 load + 2 obs)"
         );
         assert!(
             out.failures.iter().any(|f| f.contains("speedup_vs_regen")),
@@ -717,42 +687,16 @@ mod tests {
             "{:?}",
             out.failures
         );
-        // The idle-CPU ratio is internal, so it gates even across
-        // machines — but capped at 10 on both sides, so a drop that
-        // stays above the cap (hardware variance in per-wakeup cost)
-        // passes while a collapse below it (the event loop starting to
-        // poll) fails.
-        let shrunk =
-            report(8, 1.0, 1.0).replace("\"idle_cpu_ratio\":100.000", "\"idle_cpu_ratio\":30.000");
-        let out = check_reports(&shrunk, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            !out.failures
-                .iter()
-                .any(|f| f.contains("serve_open/idle_cpu_ratio")),
-            "{:?}",
-            out.failures
+        // A baseline still carrying the retired idle-CPU object (as
+        // BENCH_PR10.json does) gates cleanly against one without it.
+        let current = report(1, 1.0, 1.0);
+        let base = current.replace(
+            "]},\n  \"cluster\"",
+            "],\"idle\":{\"event_conns\":1000,\"ratio\":100.0}},\n  \"cluster\"",
         );
-        let degraded =
-            report(8, 1.0, 1.0).replace("\"idle_cpu_ratio\":100.000", "\"idle_cpu_ratio\":4.000");
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("serve_open/idle_cpu_ratio")),
-            "{:?}",
-            out.failures
-        );
-        // A baseline *with* idle data against a current report without it
-        // (event engine unavailable) is a hard failure, not a silent skip.
-        let current = report(1, 1.0, 1.0).replace("\"idle\":", "\"idle_unused\":");
-        let out = check_reports(&current, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("idle_cpu_ratio") && f.contains("missing")),
-            "{:?}",
-            out.failures
-        );
+        assert_ne!(base, current);
+        let out = check_reports(&current, &base).unwrap();
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]

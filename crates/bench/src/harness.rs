@@ -27,11 +27,7 @@
 //!   while a small driver pool fires the serve section's request mix at
 //!   the closed-loop `t = 1` rate on a deterministic arrival schedule;
 //!   per-request latency is measured from the *scheduled* start into
-//!   [`cgte_obs::hist`] log2 histograms, so queueing delay counts. A
-//!   separate idle leg pins the event engine's headline: process CPU per
-//!   parked conn-second with zero traffic, event loop versus the polling
-//!   thread-per-connection fallback, reported as a machine-independent
-//!   gated ratio;
+//!   [`cgte_obs::hist`] log2 histograms, so queueing delay counts;
 //! - **cluster** — coordinator wall-clock for a fixed sharded run (4
 //!   local shards, 16 walkers) at each `--round-threads` pool size, with
 //!   a bit-identity check of every merged stream against the single-box
@@ -89,9 +85,6 @@ pub struct BenchOptions {
     /// Open-connection counts for the `serve_open` section (clamped to
     /// the process fd budget at run time); tests shrink them.
     pub open_conns: Vec<usize>,
-    /// Parked connections for the idle-CPU leg of `serve_open`; tests
-    /// shrink it.
-    pub idle_conns: usize,
 }
 
 impl Default for BenchOptions {
@@ -104,7 +97,6 @@ impl Default for BenchOptions {
             cache_dir: None,
             load_nodes: 1_000_000,
             open_conns: vec![1_000, 10_000],
-            idle_conns: 1_000,
         }
     }
 }
@@ -712,25 +704,11 @@ struct ServeOpenRun {
     p99_ms: f64,
 }
 
-struct IdleCpu {
-    event_conns: usize,
-    fallback_conns: usize,
-    window_secs: f64,
-    idle_poll_ms: u64,
-    event_cpu_per_conn_sec: f64,
-    fallback_cpu_per_conn_sec: f64,
-    /// fallback/event — how many times more CPU a parked connection
-    /// costs under the polling fallback. Internal ratio (both sides from
-    /// one box within one run), so the gate always compares it.
-    ratio: f64,
-}
-
 struct ServeOpenEntry {
     target_rps: f64,
     drivers: usize,
     steps_per_ingest: usize,
     runs: Vec<ServeOpenRun>,
-    idle: Option<IdleCpu>,
 }
 
 /// The soft `RLIMIT_NOFILE` from `/proc/self/limits`, if readable.
@@ -738,18 +716,6 @@ fn fd_soft_limit() -> Option<usize> {
     let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
     let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
     line.split_whitespace().nth(3)?.parse().ok()
-}
-
-/// Cumulative user+system CPU seconds of this process, from
-/// `/proc/self/stat` (utime + stime, USER_HZ = 100 on every Linux ABI
-/// the harness targets).
-fn process_cpu_secs() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    let (_, rest) = stat.rsplit_once(')')?;
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some((utime + stime) as f64 / 100.0)
 }
 
 /// Opens up to `n` idle keep-alive connections, stopping early (without
@@ -770,89 +736,29 @@ fn open_idle_conns(addr: std::net::SocketAddr, n: usize) -> Vec<std::net::TcpStr
 /// client-side connect has actually been accepted.
 fn wait_for_connections(addr: std::net::SocketAddr, want: usize) -> Result<(), String> {
     use cgte_serve::client::Client;
-    let timeout = Duration::from_millis(500);
-    let connect = || -> Result<Client, String> {
-        let c = Client::connect(addr).map_err(|e| e.to_string())?;
-        // A bounded read: a fallback-engine server with every worker
-        // pinned can never answer this poll, and an unbounded read
-        // would turn that into a deadlock instead of the Err below.
-        c.set_read_timeout(Some(timeout))
-            .map_err(|e| e.to_string())?;
-        Ok(c)
-    };
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut c = connect()?;
-    let mut last = 0usize;
+    let mut c = Client::connect(addr).map_err(|e| e.to_string())?;
     loop {
-        match c.request("GET", "/healthz", "") {
-            Ok((200, body)) => {
-                let gauge = body
-                    .split("\"connections\":")
-                    .nth(1)
-                    .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .ok_or_else(|| format!("no connections gauge in {body}"))?;
-                if gauge >= want {
-                    return Ok(());
-                }
-                last = gauge;
-            }
-            Ok((st, body)) => return Err(format!("healthz failed ({st}): {body}")),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Mid-response timeout desynchronizes the stream — start
-                // a fresh connection for the next attempt.
-                c = connect()?;
-            }
-            Err(e) => return Err(format!("healthz poll failed: {e}")),
+        let (st, body) = c
+            .request("GET", "/healthz", "")
+            .map_err(|e| format!("healthz poll failed: {e}"))?;
+        if st != 200 {
+            return Err(format!("healthz failed ({st}): {body}"));
+        }
+        let gauge = body
+            .split("\"connections\":")
+            .nth(1)
+            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|s| s.parse::<usize>().ok())
+            .ok_or_else(|| format!("no connections gauge in {body}"))?;
+        if gauge >= want {
+            return Ok(());
         }
         if Instant::now() > deadline {
-            return Err(format!("only {last}/{want} connections accepted"));
+            return Err(format!("only {gauge}/{want} connections accepted"));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// Measures process CPU over an idle window with `conns` parked
-/// connections against a freshly booted server, best (minimum) of two
-/// windows, floored at one scheduler tick. Returns CPU seconds per
-/// connection-second.
-fn idle_cpu_per_conn_sec(
-    cfg: &cgte_serve::ServeConfig,
-    conns: usize,
-    window: Duration,
-) -> Result<f64, String> {
-    use cgte_serve::Server;
-    let server = Server::bind(cfg).map_err(|e| format!("cannot bind idle server: {e}"))?;
-    let addr = server.addr();
-    let parked = open_idle_conns(addr, conns);
-    if parked.len() < conns {
-        return Err(format!(
-            "only {}/{conns} idle connections opened",
-            parked.len()
-        ));
-    }
-    wait_for_connections(addr, conns)?;
-    // Let accept bursts, gauge polls and allocator churn settle.
-    std::thread::sleep(Duration::from_millis(300));
-    let mut best = f64::INFINITY;
-    for _ in 0..2 {
-        let c0 = process_cpu_secs().ok_or("no /proc/self/stat")?;
-        std::thread::sleep(window);
-        let c1 = process_cpu_secs().ok_or("no /proc/self/stat")?;
-        best = best.min(c1 - c0);
-    }
-    drop(parked);
-    server.shutdown();
-    server.join();
-    // One USER_HZ tick is the measurement resolution: a side that uses
-    // less CPU than that reads as exactly one tick, which keeps the
-    // fallback/event ratio finite and conservative.
-    Ok(best.max(0.01) / (conns as f64 * window.as_secs_f64()))
 }
 
 /// The open-loop load section: holds `opts.open_conns` keep-alive
@@ -862,8 +768,6 @@ fn idle_cpu_per_conn_sec(
 /// and its latency is measured from that scheduled instant into a
 /// [`cgte_obs::hist::Histogram`] (µs buckets), so a server that falls
 /// behind accrues queueing delay instead of quietly slowing the clients.
-/// The idle leg then compares parked-connection CPU between the event
-/// engine and the polling fallback with zero traffic.
 fn bench_serve_open(
     g: &Graph,
     opts: &BenchOptions,
@@ -914,42 +818,13 @@ fn bench_serve_open(
     let requests = ((rate * 2.0) as usize).clamp(400, 8_000);
     let per_driver = requests.div_ceil(drivers);
 
-    // Parked connections pin a worker each on the thread-per-connection
-    // fallback, so the open-conns population (and the idle-CPU leg) is
-    // only meaningful where the event engine is actually engaged — probe
-    // once up front.
-    let event_engaged = {
-        let probe = Server::bind(&ServeConfig {
-            cache_dir: dir.clone(),
-            addr: "127.0.0.1:0".to_string(),
-            threads: 1,
-            ..ServeConfig::default()
-        })
-        .map_err(|e| format!("cannot bind probe server: {e}"))?;
-        let mut c = Client::connect(probe.addr()).map_err(|e| e.to_string())?;
-        let (_, body) = c
-            .request("GET", "/healthz", "")
-            .map_err(|e| e.to_string())?;
-        probe.shutdown();
-        probe.join();
-        body.contains("\"event_loop\":true")
-    };
-    if !event_engaged {
-        eprintln!(
-            "serve_open: event engine not engaged — running the open-loop schedule without parked connections"
-        );
-    }
-
     let mut runs = Vec::new();
     for &requested in &opts.open_conns {
         let conns_target = requested.min(fd_budget);
         let server = Server::bind(&ServeConfig {
             cache_dir: dir.clone(),
             addr: "127.0.0.1:0".to_string(),
-            // The fallback pins one worker per connection: without the
-            // event engine the drivers themselves need the workers, and
-            // parking extra connections would only starve them.
-            threads: if event_engaged { 2 } else { drivers },
+            threads: 2,
             ..ServeConfig::default()
         })
         .map_err(|e| format!("cannot bind serve_open server: {e}"))?;
@@ -975,11 +850,7 @@ fn bench_serve_open(
             }
         }
         // Park the open-connection population (minus the driver conns).
-        let parked = if event_engaged {
-            open_idle_conns(addr, conns_target.saturating_sub(drivers))
-        } else {
-            Vec::new()
-        };
+        let parked = open_idle_conns(addr, conns_target.saturating_sub(drivers));
         let open_conns = parked.len() + drivers;
         wait_for_connections(addr, parked.len())?;
 
@@ -1066,70 +937,6 @@ fn bench_serve_open(
         runs.push(run);
     }
 
-    // --- idle-CPU leg: parked connections, zero traffic -------------------
-    // Both engines get the same configured shutdown responsiveness
-    // (idle_poll_ms): the fallback *must* wake every parked worker that
-    // often, the event loop simply has no poll at all.
-    let idle_poll_ms = 50;
-    let window = Duration::from_secs(2);
-    let event_conns = opts.idle_conns.min(fd_budget);
-    let fallback_conns = opts.idle_conns.min(256).min(fd_budget);
-    let base = ServeConfig {
-        cache_dir: dir.clone(),
-        addr: "127.0.0.1:0".to_string(),
-        idle_poll_ms,
-        ..ServeConfig::default()
-    };
-    // Only meaningful where the event engine is actually compiled in and
-    // engaged (probed once above); elsewhere both sides would time the
-    // same fallback.
-    let idle = if event_engaged && process_cpu_secs().is_some() {
-        let event = idle_cpu_per_conn_sec(
-            &ServeConfig {
-                threads: 2,
-                event_loop: true,
-                ..base.clone()
-            },
-            event_conns,
-            window,
-        )?;
-        let fallback = idle_cpu_per_conn_sec(
-            &ServeConfig {
-                // One spare worker beyond the parked population: it
-                // answers the readiness gauge poll (the parked conns pin
-                // the rest) and then sits blocked on the dispatch
-                // channel — no polling, so it adds nothing to the
-                // measured idle CPU.
-                threads: fallback_conns + 1,
-                event_loop: false,
-                ..base
-            },
-            fallback_conns,
-            window,
-        )?;
-        let idle = IdleCpu {
-            event_conns,
-            fallback_conns,
-            window_secs: window.as_secs_f64(),
-            idle_poll_ms,
-            event_cpu_per_conn_sec: event,
-            fallback_cpu_per_conn_sec: fallback,
-            ratio: fallback / event.max(1e-12),
-        };
-        eprintln!(
-            "serve_open/idle: event {:.2e} cpu-s/conn-s ({} conns) vs fallback {:.2e} ({} conns) = {:.1}x",
-            idle.event_cpu_per_conn_sec,
-            idle.event_conns,
-            idle.fallback_cpu_per_conn_sec,
-            idle.fallback_conns,
-            idle.ratio,
-        );
-        Some(idle)
-    } else {
-        eprintln!("serve_open/idle: skipped (event engine not engaged on this platform)");
-        None
-    };
-
     if opts.cache_dir.is_none() {
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
@@ -1139,7 +946,6 @@ fn bench_serve_open(
         drivers,
         steps_per_ingest: steps,
         runs,
-        idle,
     })
 }
 
@@ -1730,27 +1536,13 @@ pub fn run_bench(opts: &BenchOptions) -> Result<String, String> {
             )
         })
         .collect();
-    let idle_json = match &serve_open.idle {
-        Some(i) => format!(
-            ",\"idle\":{{\"event_conns\":{},\"fallback_conns\":{},\"window_secs\":{:.1},\"idle_poll_ms\":{},\"event_cpu_per_conn_sec\":{:.3e},\"fallback_cpu_per_conn_sec\":{:.3e},\"idle_cpu_ratio\":{:.3}}}",
-            i.event_conns,
-            i.fallback_conns,
-            i.window_secs,
-            i.idle_poll_ms,
-            i.event_cpu_per_conn_sec,
-            i.fallback_cpu_per_conn_sec,
-            i.ratio,
-        ),
-        None => String::new(),
-    };
     let _ = writeln!(
         json,
-        "  \"serve_open\": {{\"target_rps\":{:.1},\"drivers\":{},\"steps_per_ingest\":{},\"runs\":[{}]{}}},",
+        "  \"serve_open\": {{\"target_rps\":{:.1},\"drivers\":{},\"steps_per_ingest\":{},\"runs\":[{}]}},",
         serve_open.target_rps,
         serve_open.drivers,
         serve_open.steps_per_ingest,
         open_runs.join(","),
-        idle_json,
     );
     let _ = writeln!(
         json,
@@ -1806,7 +1598,6 @@ mod tests {
             // Likewise shrunk: the committed reports park 1k/10k
             // connections via the release binary.
             open_conns: vec![48],
-            idle_conns: 32,
         };
         let json = run_bench(&opts).unwrap();
         assert!(json.contains("\"schema\": \"cgte-bench/1\""));
@@ -1824,9 +1615,6 @@ mod tests {
         assert!(json.contains("\"serve_open\""));
         assert!(json.contains("\"achieved_rps\""));
         assert!(json.contains("\"open_conns\":48"));
-        // The idle-CPU leg runs wherever the event engine is compiled in.
-        #[cfg(target_os = "linux")]
-        assert!(json.contains("\"idle_cpu_ratio\""));
         assert!(json.contains("\"cluster\": {\"shards\":4,\"walkers\":16"));
         assert!(json.contains("\"bit_identical\":true,\"best_speedup\""));
         assert!(json.contains("\"obs\""));

@@ -58,8 +58,7 @@ USAGE:
                          [--cache-dir DIR] [--mmap true|false]
                          [--trace FILE.jsonl] [--trace-level N]
   cgte serve             --cache-dir DIR [--port P] [--addr HOST:PORT] [--threads N]
-                         [--idle-poll-ms MS] [--session-ttl SECS] [--max-sessions N]
-                         [--mmap true|false] [--event-loop true|false]
+                         [--session-ttl SECS] [--max-sessions N] [--mmap true|false]
                          [--request-timeout-ms MS] [--max-body-bytes N]
                          [--trace FILE.jsonl] [--trace-level N]
   cgte cluster           --cache-dir DIR --graph NAME --shards H:P,H:P[,…]
@@ -133,14 +132,12 @@ consistency.
 `cgte bench` times graph build rate, .cgteg load rate, walk steps/sec,
 estimate throughput, serve request throughput/latency, open-loop served
 latency with thousands of idle keep-alive connections parked (the
-`serve_open` section, which also pins the idle-CPU ratio of the
-thread-per-connection fallback vs. the event-driven engine) and the
-sharded coordinator's wall-clock at each thread count (the `cluster`
-section drives a fixed 4-shard, 16-walker run at every --round-threads
-size) and writes a machine-readable JSON report (default
-BENCH_PR10.json; see EXPERIMENTS.md for the schema). With --check it
-then compares the fresh report against a committed baseline and fails on
-a >25% per-metric regression (warns over 10%). The `obs` section pins
+`serve_open` section) and the sharded coordinator's wall-clock at each
+thread count (the `cluster` section drives a fixed 4-shard, 16-walker
+run at every --round-threads size) and writes a machine-readable JSON
+report (default BENCH_PR10.json; see EXPERIMENTS.md for the schema).
+With --check it then compares the fresh report against a committed
+baseline and fails on a >25% per-metric regression (warns over 10%). The `obs` section pins
 the tracing-disabled overhead of the instrumentation (ratios ~1.0).
 ";
 
@@ -173,6 +170,16 @@ impl Args {
             map.insert(key.to_string(), v.clone());
         }
         Ok(Args { map })
+    }
+
+    /// Fails on the first flag outside `known`, so a misspelled or
+    /// retired flag is an error instead of silently ignored.
+    fn only(&self, known: &[&str]) -> Result<(), CliError> {
+        let unknown = self.map.keys().filter(|k| !known.contains(&k.as_str()));
+        match unknown.min() {
+            None => Ok(()),
+            Some(k) => Err(format!("unknown flag --{k}\n{USAGE}").into()),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -601,6 +608,19 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    args.only(&[
+        "cache-dir",
+        "port",
+        "addr",
+        "threads",
+        "session-ttl",
+        "max-sessions",
+        "mmap",
+        "request-timeout-ms",
+        "max-body-bytes",
+        "trace",
+        "trace-level",
+    ])?;
     let cache_dir = args.required("cache-dir")?;
     let addr = match (args.get("addr"), args.get("port")) {
         (Some(_), Some(_)) => return Err("pass either --addr or --port, not both".into()),
@@ -618,10 +638,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         return Err("--threads must be positive".into());
     }
     let defaults = cgte_serve::ServeConfig::default();
-    let idle_poll_ms: u64 = args.parse_or("idle-poll-ms", defaults.idle_poll_ms)?;
-    if idle_poll_ms == 0 {
-        return Err("--idle-poll-ms must be positive".into());
-    }
     let session_ttl_secs = match args.get("session-ttl") {
         None => None,
         Some(v) => Some(
@@ -634,7 +650,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         return Err("--max-sessions must be positive".into());
     }
     let mmap: bool = args.parse_or("mmap", defaults.mmap)?;
-    let event_loop: bool = args.parse_or("event-loop", defaults.event_loop)?;
     let request_timeout_ms: u64 =
         args.parse_or("request-timeout-ms", defaults.request_timeout_ms)?;
     if request_timeout_ms == 0 {
@@ -648,11 +663,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         cache_dir: cache_dir.into(),
         addr,
         threads,
-        idle_poll_ms,
         session_ttl_secs,
         max_sessions,
         mmap,
-        event_loop,
         request_timeout_ms,
         max_body_bytes,
     };

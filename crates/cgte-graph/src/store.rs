@@ -880,22 +880,8 @@ pub fn partition_from_container(
 
 /// Reconstructs the graph from the CSR sections, proving the invariants
 /// the in-memory [`Graph`] relies on (see [`Validate`]).
-#[deprecated(note = "use `store::Loader` (open → validate → load_graph) instead")]
-pub fn graph_from_container(c: &Container, validate: Validate) -> Result<Graph, StoreError> {
-    graph_from_container_impl(c, validate)
-}
-
-/// Like [`graph_from_container`], but **moves** the CSR sections out of
-/// the container instead of copying the (large) target array.
-#[deprecated(note = "use `store::Loader` (open → validate → load) instead")]
-pub fn graph_from_container_owned(
-    c: &mut Container,
-    validate: Validate,
-) -> Result<Graph, StoreError> {
-    graph_from_container_owned_impl(c, validate)
-}
-
-fn graph_from_container_impl(c: &Container, validate: Validate) -> Result<Graph, StoreError> {
+#[cfg(test)]
+fn graph_from_container(c: &Container, validate: Validate) -> Result<Graph, StoreError> {
     let offsets64 = c.u64s(SEC_OFFSETS)?;
     let targets = c.u32s(SEC_TARGETS)?;
     let offsets = validate_csr(offsets64, targets, validate)?;
@@ -905,10 +891,7 @@ fn graph_from_container_impl(c: &Container, validate: Validate) -> Result<Graph,
 /// The hot owned-decode path behind [`Loader::load`] for streamed (v1 or
 /// non-mmap) loads: moves the CSR sections out of the container instead of
 /// copying the (large) target array.
-fn graph_from_container_owned_impl(
-    c: &mut Container,
-    validate: Validate,
-) -> Result<Graph, StoreError> {
+fn graph_from_container_owned(c: &mut Container, validate: Validate) -> Result<Graph, StoreError> {
     let offsets64 = match c.take(SEC_OFFSETS) {
         Some(SectionData::U64(v)) => v,
         Some(_) => {
@@ -1072,14 +1055,10 @@ pub fn write_bundle<W: Write>(
 }
 
 /// Reads a `.cgteg` stream back into a graph (+ `main` partition).
-#[deprecated(note = "use `store::Loader` (open → validate → load_bundle) instead")]
-pub fn read_bundle<R: Read>(r: R, validate: Validate) -> Result<GraphBundle, StoreError> {
-    read_bundle_impl(r, validate)
-}
-
-fn read_bundle_impl<R: Read>(r: R, validate: Validate) -> Result<GraphBundle, StoreError> {
+#[cfg(test)]
+fn read_bundle<R: Read>(r: R, validate: Validate) -> Result<GraphBundle, StoreError> {
     let mut c = Container::read_from(r)?;
-    let graph = graph_from_container_owned_impl(&mut c, validate)?;
+    let graph = graph_from_container_owned(&mut c, validate)?;
     let partition = partition_from_container(&c, "main", graph.num_nodes())?;
     Ok(GraphBundle { graph, partition })
 }
@@ -1099,9 +1078,8 @@ pub struct LoadedStore {
     pub rest: Container,
 }
 
-/// Builder-style loader for `.cgteg` files — the single entry point that
-/// replaces the old `read_bundle` / `graph_from_container*` free
-/// functions.
+/// Builder-style loader for `.cgteg` files — the single entry point for
+/// reading graphs back from disk.
 ///
 /// ```no_run
 /// use cgte_graph::store::{Loader, Validate};
@@ -1180,7 +1158,7 @@ impl Loader {
             }
         }
         let mut rest = self.load_container()?;
-        let graph = graph_from_container_owned_impl(&mut rest, self.validate)?;
+        let graph = graph_from_container_owned(&mut rest, self.validate)?;
         Ok(LoadedStore { graph, rest })
     }
 
@@ -1351,11 +1329,6 @@ fn parse_mapped_sections(bytes: &[u8]) -> Result<Option<Vec<MappedSection>>, Sto
 #[cfg(test)]
 mod tests {
     use super::*;
-    // The deprecated free functions delegate to these; testing the impls
-    // keeps the suite warning-free (the shims get one dedicated test).
-    use super::{
-        graph_from_container_impl as graph_from_container, read_bundle_impl as read_bundle,
-    };
     use crate::GraphBuilder;
 
     fn sample_graph() -> Graph {
@@ -1646,22 +1619,6 @@ mod tests {
         assert!(graph_from_container(&parsed, Validate::Trusted).is_ok());
         assert!(graph_from_container(&parsed, Validate::Structure).is_err());
         assert!(graph_from_container(&parsed, Validate::Full).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let g = sample_graph();
-        let mut buf = Vec::new();
-        write_bundle(&mut buf, &g, None).unwrap();
-        let bundle = super::read_bundle(&buf[..], Validate::Full).unwrap();
-        assert_eq!(bundle.graph, g);
-        let mut c = Container::read_from(&buf[..]).unwrap();
-        assert_eq!(super::graph_from_container(&c, Validate::Full).unwrap(), g);
-        assert_eq!(
-            super::graph_from_container_owned(&mut c, Validate::Full).unwrap(),
-            g
-        );
     }
 
     #[cfg(cgte_mmap)]

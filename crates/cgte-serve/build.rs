@@ -2,7 +2,8 @@
 /// directly against libc (see `src/poll.rs`). Emit `cgte_epoll` only where
 /// those declarations are known-correct: Linux on the 64-bit architectures
 /// whose `O_*` flag values match the ones vendored in `poll.rs`. Everywhere
-/// else the server silently uses the portable thread-per-connection path.
+/// else the crate still compiles, but `Server::bind` fails with
+/// `ErrorKind::Unsupported`: serving is Linux-only.
 fn main() {
     println!("cargo:rustc-check-cfg=cfg(cgte_epoll)");
     let os = std::env::var("CARGO_CFG_TARGET_OS").unwrap_or_default();

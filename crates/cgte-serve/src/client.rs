@@ -2,7 +2,8 @@
 //! just enough to drive the serve API from benches, integration tests and
 //! scripted smoke jobs without external tooling.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::http;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 
 /// One keep-alive connection to a server.
@@ -29,16 +30,6 @@ impl Client {
         Ok(Client { writer, reader })
     }
 
-    /// Applies a read timeout to the connection (both halves share the
-    /// one underlying socket, so this covers `request`'s response
-    /// reads). `None` restores indefinitely-blocking reads. Probes that
-    /// poll a server which may be unable to answer — e.g. a gauge poll
-    /// against a fallback-engine server whose workers are all pinned —
-    /// need this to make their deadline reachable.
-    pub fn set_read_timeout(&self, dur: Option<std::time::Duration>) -> std::io::Result<()> {
-        self.writer.set_read_timeout(dur)
-    }
-
     /// Sends one request (a single `write_all`) and reads the full
     /// response. Returns `(status, body)`.
     pub fn request(
@@ -47,48 +38,10 @@ impl Client {
         path: &str,
         body: &str,
     ) -> std::io::Result<(u16, String)> {
-        let msg = format!(
-            "{method} {path} HTTP/1.1\r\nHost: cgte\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer.write_all(msg.as_bytes())?;
-        self.writer.flush()?;
-        let r = &mut self.reader;
-        let mut status_line = String::new();
-        r.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("malformed status line {status_line:?}"),
-                )
-            })?;
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            if r.read_line(&mut h)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed inside response headers",
-                ));
-            }
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        r.read_exact(&mut body)?;
-        String::from_utf8(body)
-            .map(|b| (status, b))
+        http::write_request(&mut self.writer, method, path, body.as_bytes(), false)?;
+        let resp = http::read_response(&mut self.reader)?;
+        String::from_utf8(resp.body)
+            .map(|b| (resp.status, b))
             .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))
     }
 }

@@ -51,7 +51,7 @@ use cgte_scenarios::artifact::{parse_json, Json};
 use crossbeam::channel;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::io::{BufReader, Write as _};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -347,16 +347,7 @@ impl RetryClient {
         stream.set_read_timeout(Some(self.policy.request_timeout))?;
         stream.set_write_timeout(Some(self.policy.request_timeout))?;
         let _ = stream.set_nodelay(true);
-        let mut writer = stream.try_clone()?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: shard\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        let mut out = Vec::with_capacity(head.len() + body.len());
-        out.extend_from_slice(head.as_bytes());
-        out.extend_from_slice(body);
-        writer.write_all(&out)?;
-        writer.flush()?;
+        http::write_request(&mut &stream, method, path, body, true)?;
         http::read_response(&mut BufReader::new(stream))
     }
 }

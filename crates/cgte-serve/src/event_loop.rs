@@ -1,20 +1,19 @@
-//! The event-driven connection engine (`cfg(cgte_epoll)` platforms).
+//! The connection engine.
 //!
 //! One event-loop thread owns the listener, the self-pipe, and every idle
 //! or partially-read connection, all in non-blocking mode on a vendored
 //! [`crate::poll::Poller`]. Each connection steps through a small state
 //! machine — reading-headers → reading-body → dispatched → writing — where
-//! the first two states live here (bytes accumulate in `Conn::buf` until
-//! [`crate::http::find_head_end`] + `Content-Length` say a full request
-//! has arrived) and the last two live on a worker: the parsed request is
-//! checked out to the crossbeam pool as a [`Job`], the worker routes it
-//! and writes the response, and a keep-alive connection parks back here
-//! over the return channel (paired with a self-pipe wake-up).
+//! the first two states live here (bytes accumulate in `Conn::buf` and
+//! the connection's [`http::Parser`] frames them, parsing each head once)
+//! and the last two live on a worker: the parsed request is checked out
+//! to the crossbeam pool as a [`Job`], the worker routes it and writes
+//! the response, and a keep-alive connection parks back here over the
+//! return channel (paired with a self-pipe wake-up).
 //!
 //! Idle connections therefore cost **no** thread and **no** periodic
-//! wake-up — the polling `set_read_timeout` loop of the portable fallback
-//! is replaced by level-triggered readiness. Shutdown is a self-pipe wake
-//! instead of the historical connect-to-yourself poke.
+//! wake-up: readiness is level-triggered, and shutdown is a self-pipe
+//! wake.
 
 use crate::json::error_body;
 use crate::poll::{Events, Poller, WakeReceiver};
@@ -35,10 +34,9 @@ pub(crate) const TOKEN_LISTENER: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Request heads larger than this answer 400 — no legitimate client of
-/// the JSON API sends a megabyte of request headers.
-const MAX_HEAD_BYTES: usize = 1 << 20;
+/// Minimum (and post-success reset) accept backoff.
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+/// Accept backoff doubles up to this cap.
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// A connection owned by the event loop (or checked out to a worker).
@@ -49,8 +47,8 @@ pub(crate) struct Conn {
     /// Bytes received ahead of parsing; leftovers after a dispatch are
     /// pipelined follow-up requests.
     buf: Vec<u8>,
-    /// Cached head-end offset of the in-progress request.
-    head_end: Option<usize>,
+    /// Frames `buf`, caching the in-progress request's parsed head.
+    parser: http::Parser,
     /// Absolute deadline for completing the in-progress request — armed
     /// when its first byte arrives, cleared on dispatch, answered with
     /// 408 on expiry. Idle (byte-less) connections never expire here.
@@ -67,55 +65,20 @@ pub(crate) struct Job {
     pub(crate) req: http::Request,
 }
 
-/// What `Conn::try_extract` found in the buffered bytes.
-enum Extract {
-    /// Not a full request yet; stay parked.
-    Incomplete,
-    /// A complete request, drained from the buffer.
-    Request(http::Request),
-    /// A protocol-level rejection: answer and hang up.
-    Reply(u16, String),
-}
-
 impl Conn {
-    /// Tries to cut one complete request off the front of the buffer.
-    /// Framing is detected with the same line-ending tolerance as the
-    /// real parser, and the frame is then parsed by the *same*
-    /// `read_request_limited` the fallback path uses — responses are
-    /// byte-identical across both connection engines by construction.
-    fn try_extract(&mut self, max_body: usize) -> Extract {
-        if self.head_end.is_none() {
-            self.head_end = http::find_head_end(&self.buf);
-        }
-        let Some(head_end) = self.head_end else {
-            if self.buf.len() > MAX_HEAD_BYTES {
-                return Extract::Reply(400, "request head too large".to_string());
-            }
-            return Extract::Incomplete;
+    /// Cuts one complete request off the front of the buffer. `Ok(None)`
+    /// means stay parked; an error is answered once and the connection
+    /// hung up.
+    fn try_extract(
+        &mut self,
+        max_body: usize,
+    ) -> Result<Option<http::Request>, http::RequestError> {
+        let Some((req, used)) = self.parser.next(&self.buf, max_body)? else {
+            return Ok(None);
         };
-        let max_body = max_body.min(http::MAX_BODY);
-        let content_length = http::head_content_length(&self.buf[..head_end]).unwrap_or(0);
-        if content_length > max_body {
-            return Extract::Reply(
-                413,
-                format!("request body of {content_length} bytes exceeds the {max_body} limit"),
-            );
-        }
-        let total = head_end + content_length;
-        if self.buf.len() < total {
-            return Extract::Incomplete;
-        }
-        let parsed = http::read_request_limited(&mut &self.buf[..total], max_body);
-        match parsed {
-            Ok(Some(req)) => {
-                self.buf.drain(..total);
-                self.head_end = None;
-                self.deadline = None;
-                Extract::Request(req)
-            }
-            Ok(None) => Extract::Reply(400, "empty request frame".to_string()),
-            Err(e) => Extract::Reply(400, e.to_string()),
-        }
+        self.buf.drain(..used);
+        self.deadline = None;
+        Ok(Some(req))
     }
 }
 
@@ -151,11 +114,11 @@ impl Engine {
             return; // drops the connection
         }
         match conn.try_extract(self.state.max_body) {
-            Extract::Request(req) => {
+            Ok(Some(req)) => {
                 let _ = self.dispatch_tx.send(Job { conn, req });
             }
-            Extract::Reply(status, msg) => answer_and_drop(conn, status, &msg),
-            Extract::Incomplete => {
+            Err(e) => answer_and_drop(conn, e.status(), &e.to_string()),
+            Ok(None) => {
                 if !conn.buf.is_empty() && conn.deadline.is_none() {
                     conn.deadline = Some(Instant::now() + self.state.request_timeout);
                 }
@@ -167,45 +130,27 @@ impl Engine {
         }
     }
 
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
+    /// Takes a connection off the poller and out of the table.
+    fn unregister(&mut self, token: u64) -> Option<Conn> {
+        let conn = self.conns.remove(&token)?;
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        Some(conn)
     }
 
-    fn reply_and_close(&mut self, token: u64, status: u16, msg: &str) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-            answer_and_drop(conn, status, msg);
-        }
-    }
-
-    fn dispatch(&mut self, token: u64, req: http::Request) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-            // If the workers are gone (teardown) the connection drops.
-            let _ = self.dispatch_tx.send(Job { conn, req });
-        }
-    }
-
-    /// Drains a readable connection and advances its state machine.
+    /// Drains a readable connection and advances its state machine: a
+    /// complete request is dispatched, a framing error answered and the
+    /// connection closed, EOF or a transport error closes it silently.
     fn handle_readable(&mut self, token: u64) {
-        enum Action {
-            Close,
-            Parked,
-            Dispatch(http::Request),
-            Reply(u16, String),
-        }
         let max_body = self.state.max_body;
         let request_timeout = self.state.request_timeout;
-        let action = {
+        let outcome = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             let mut chunk = [0u8; 16 * 1024];
             loop {
                 match conn.stream.read(&mut chunk) {
-                    Ok(0) => break Action::Close, // EOF
+                    Ok(0) => break Err(None), // EOF
                     Ok(n) => {
                         if conn.buf.is_empty() {
                             // First byte of a request: arm the deadline.
@@ -213,22 +158,27 @@ impl Engine {
                         }
                         conn.buf.extend_from_slice(&chunk[..n]);
                         match conn.try_extract(max_body) {
-                            Extract::Incomplete => continue,
-                            Extract::Request(req) => break Action::Dispatch(req),
-                            Extract::Reply(status, msg) => break Action::Reply(status, msg),
+                            Ok(None) => continue,
+                            Ok(Some(req)) => break Ok(req),
+                            Err(e) => break Err(Some(e)),
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break Action::Parked,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return, // stays parked
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break Action::Close,
+                    Err(_) => break Err(None),
                 }
             }
         };
-        match action {
-            Action::Close => self.close(token),
-            Action::Parked => {}
-            Action::Dispatch(req) => self.dispatch(token, req),
-            Action::Reply(status, msg) => self.reply_and_close(token, status, &msg),
+        let Some(conn) = self.unregister(token) else {
+            return;
+        };
+        match outcome {
+            Ok(req) => {
+                // If the workers are gone (teardown) the connection drops.
+                let _ = self.dispatch_tx.send(Job { conn, req });
+            }
+            Err(Some(e)) => answer_and_drop(conn, e.status(), &e.to_string()),
+            Err(None) => {}
         }
     }
 
@@ -252,7 +202,7 @@ impl Engine {
                         stream,
                         token,
                         buf: Vec::new(),
-                        head_end: None,
+                        parser: http::Parser::default(),
                         deadline: None,
                         _guard,
                     });
@@ -298,7 +248,9 @@ impl Engine {
             .collect();
         for token in expired {
             self.state.request_timeouts.fetch_add(1, Ordering::Relaxed);
-            self.reply_and_close(token, 408, "timed out reading the request");
+            if let Some(conn) = self.unregister(token) {
+                answer_and_drop(conn, 408, "timed out reading the request");
+            }
         }
     }
 
@@ -369,7 +321,7 @@ pub(crate) fn run(
         }
         for &(token, dead) in &ready {
             if dead {
-                engine.close(token);
+                engine.unregister(token);
             } else {
                 engine.handle_readable(token);
             }

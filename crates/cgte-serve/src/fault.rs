@@ -219,14 +219,8 @@ fn proxy_connection(
                 return;
             }
             FaultAction::ServerError => {
-                let body = b"{\"error\":\"injected fault\"}";
-                let head = format!(
-                    "HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                    body.len()
-                );
-                let _ = client_writer.write_all(head.as_bytes());
-                let _ = client_writer.write_all(body);
-                let _ = client_writer.flush();
+                let body = "{\"error\":\"injected fault\"}";
+                let _ = http::write_json_response(&mut client_writer, 500, body, false);
                 return;
             }
             FaultAction::Pass | FaultAction::MidBodyDisconnect => {
@@ -253,7 +247,6 @@ fn proxy_connection(
 fn forward(upstream: SocketAddr, req: &http::Request) -> std::io::Result<http::ParsedResponse> {
     let stream = TcpStream::connect(upstream)?;
     let _ = stream.set_nodelay(true);
-    let mut writer = stream.try_clone()?;
     let mut target = req.path.clone();
     for (i, (k, v)) in req.query.iter().enumerate() {
         target.push(if i == 0 { '?' } else { '&' });
@@ -263,15 +256,7 @@ fn forward(upstream: SocketAddr, req: &http::Request) -> std::io::Result<http::P
             target.push_str(v);
         }
     }
-    let head = format!(
-        "{} {} HTTP/1.1\r\nHost: shard\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        req.method,
-        target,
-        req.body.len()
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(&req.body)?;
-    writer.flush()?;
+    http::write_request(&mut &stream, &req.method, &target, &req.body, true)?;
     http::read_response(&mut BufReader::new(stream))
 }
 

@@ -34,20 +34,19 @@
 //! nothing past the last checkpoint.
 //!
 //! Transport is a dependency-free HTTP/1.1 subset on
-//! `std::net::TcpListener`. On `cfg(cgte_epoll)` platforms (Linux — see
-//! `build.rs`) the server is **event-driven**: one loop thread owns every
-//! idle connection in non-blocking mode on a vendored epoll poller
-//! ([`poll`]), and the bounded worker pool (`--threads`, vendored
-//! crossbeam MPMC channel) executes *requests*, not connections — a
-//! parsed request is checked out to a worker, the response written, and
-//! the connection parks back on the poller. Elsewhere (or under
-//! `--event-loop false`) the portable thread-per-connection fallback
-//! pins one worker per connection with a read-timeout idle poll. Both
-//! engines share one request parser and one router, so responses are
-//! byte-identical across them; estimate values are bit-identical to the
-//! batch `run_experiment` path on the same sampled sequence: both call
-//! the one shared snapshot function (`cgte_core::estimate_stream_into`)
-//! over the same streaming kernel (`cgte_sampling::ObservationStream`).
+//! `std::net::TcpListener`, and the server is **event-driven**: one loop
+//! thread owns every idle connection in non-blocking mode on a vendored
+//! epoll poller ([`poll`]), and the bounded worker pool (`--threads`,
+//! vendored crossbeam MPMC channel) executes *requests*, not connections
+//! — a parsed request is checked out to a worker, the response written,
+//! and the connection parks back on the poller. Serving is Linux-only:
+//! the poller exists where `build.rs` sets `cfg(cgte_epoll)` (64-bit
+//! Linux), and elsewhere the crate still compiles but [`Server::bind`]
+//! answers `ErrorKind::Unsupported`. Estimate values are bit-identical to
+//! the batch `run_experiment` path on the same sampled sequence: both
+//! call the one shared snapshot function
+//! (`cgte_core::estimate_stream_into`) over the same streaming kernel
+//! (`cgte_sampling::ObservationStream`).
 
 // `deny` rather than `forbid`: the vendored epoll module below is the
 // single, explicitly-allowed exception (raw readiness syscalls for the
@@ -55,6 +54,9 @@
 // the same shape as `cgte-graph`'s mmap module.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Without the epoll engine nothing can be served, so the server half of
+// the crate is unreachable there.
+#![cfg_attr(not(cgte_epoll), allow(dead_code))]
 
 pub mod client;
 pub mod cluster;
@@ -75,8 +77,7 @@ use json::{error_body, fmt_str};
 use registry::Registry;
 use session::{Session, SessionSpec, DEFAULT_BOOTSTRAP_REPS, MAX_BOOTSTRAP_REPS};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -248,13 +249,9 @@ pub struct ServeConfig {
     pub cache_dir: PathBuf,
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads handling connections (also bounds the one-time
+    /// Worker threads executing requests (also bounds the one-time
     /// parallel index build per graph partition).
     pub threads: usize,
-    /// How often an idle keep-alive connection re-checks the shutdown
-    /// flag, in milliseconds (the poll is a cheap read-timeout wake-up,
-    /// but a tight interval busy-spins every idle worker).
-    pub idle_poll_ms: u64,
     /// Evict sessions idle longer than this many seconds (lazily, on the
     /// next session-table access). `None` disables eviction.
     pub session_ttl_secs: Option<u64>,
@@ -265,10 +262,6 @@ pub struct ServeConfig {
     /// sessions on a graph share one read-only mapping; estimates are
     /// bit-identical to heap-hosted graphs.
     pub mmap: bool,
-    /// Use the event-driven connection engine where compiled in
-    /// (`cfg(cgte_epoll)`; default). `false` — or a platform without the
-    /// vendored epoll layer — selects the thread-per-connection fallback.
-    pub event_loop: bool,
     /// Deadline for reading one request once its first byte has arrived,
     /// in milliseconds; expiry answers 408 and closes the connection (the
     /// slowloris bound). Idle keep-alive connections are unaffected.
@@ -285,11 +278,9 @@ impl Default for ServeConfig {
             cache_dir: PathBuf::from("graph-store"),
             addr: "127.0.0.1:7171".to_string(),
             threads: 4,
-            idle_poll_ms: 1000,
             session_ttl_secs: None,
             max_sessions: 1024,
             mmap: true,
-            event_loop: true,
             request_timeout_ms: 10_000,
             max_body_bytes: 8 << 20,
         }
@@ -323,12 +314,10 @@ struct ServerState {
     snapshots_saved: AtomicU64,
     snapshots_restored: AtomicU64,
     threads: usize,
-    idle_poll: Duration,
     session_ttl: Option<Duration>,
     max_sessions: usize,
     request_timeout: Duration,
     max_body: usize,
-    event_loop: bool,
     accept_errors: AtomicU64,
     open_connections: AtomicU64,
     request_timeouts: AtomicU64,
@@ -336,16 +325,15 @@ struct ServerState {
     addr: SocketAddr,
     started: Instant,
     /// Write end of the event loop's self-pipe: wakes the loop for
-    /// shutdown. `None` on the thread-per-connection fallback, which
-    /// keeps the connect-to-yourself poke.
+    /// shutdown.
     #[cfg(cgte_epoll)]
-    waker: Option<Arc<poll::Waker>>,
+    waker: poll::Waker,
 }
 
 /// Accounts one open connection in the `cgte_serve_open_connections`
 /// gauge for exactly as long as the guard lives. The guard travels with
-/// the connection through whichever engine owns it, so the gauge is
-/// correct no matter where the connection is dropped.
+/// the connection between the event loop and the workers, so the gauge
+/// is correct no matter where the connection is dropped.
 struct OpenConnGuard {
     state: Arc<ServerState>,
 }
@@ -386,110 +374,74 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, spawns the connection engine — event-driven
-    /// where compiled in (`cfg(cgte_epoll)`) and enabled, the portable
-    /// thread-per-connection pool otherwise — and returns immediately.
+    /// Binds the listener, spawns the event loop and the worker pool, and
+    /// returns immediately. Fails with `ErrorKind::Unsupported` on
+    /// targets without the epoll engine.
     pub fn bind(cfg: &ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        #[cfg(not(cgte_epoll))]
+        {
+            let _ = cfg;
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "cgte serve needs the epoll engine (64-bit Linux)",
+            ))
+        }
         #[cfg(cgte_epoll)]
-        if cfg.event_loop {
-            // All fallible event-engine setup happens before committing,
-            // so a failure (e.g. fd pressure on the poller or pipe)
-            // degrades to the fallback engine instead of a dead server.
-            if let Ok(setup) = event_setup(&listener) {
-                return Ok(Server::bind_event(cfg, listener, addr, setup));
-            }
-        }
-        Ok(Server::bind_fallback(cfg, listener, addr))
-    }
-
-    /// The event-driven engine: the loop thread owns the listener and
-    /// every parked connection; workers execute parsed requests.
-    #[cfg(cgte_epoll)]
-    fn bind_event(
-        cfg: &ServeConfig,
-        listener: TcpListener,
-        addr: SocketAddr,
-        setup: EventSetup,
-    ) -> Server {
-        let (poller, wake_rx, waker) = setup;
-        let threads = cfg.threads.max(1);
-        let mut st = new_state(cfg, addr, true);
-        st.waker = Some(Arc::clone(&waker));
-        let state = Arc::new(st);
-        let (dispatch_tx, dispatch_rx) = crossbeam::channel::unbounded::<event_loop::Job>();
-        let (ret_tx, ret_rx) = crossbeam::channel::unbounded::<event_loop::Conn>();
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let rx = dispatch_rx.clone();
-                let ret_tx = ret_tx.clone();
-                let waker = Arc::clone(&waker);
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || event_worker(&state, &rx, &ret_tx, &waker))
-            })
-            .collect();
-        let loop_state = Arc::clone(&state);
-        let accept = std::thread::spawn(move || {
-            // Dropping `dispatch_tx` on exit disconnects the channel and
-            // drains the workers.
-            event_loop::run(loop_state, listener, poller, wake_rx, dispatch_tx, ret_rx);
-        });
-        Server {
-            state,
-            accept,
-            workers,
-        }
-    }
-
-    /// The portable engine: one worker pinned per connection.
-    fn bind_fallback(cfg: &ServeConfig, listener: TcpListener, addr: SocketAddr) -> Server {
-        let threads = cfg.threads.max(1);
-        let state = Arc::new(new_state(cfg, addr, false));
-        let (tx, rx) = crossbeam::channel::unbounded::<(TcpStream, OpenConnGuard)>();
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let rx = rx.clone();
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    while let Ok((stream, guard)) = rx.recv() {
-                        handle_connection(&state, stream, guard);
-                    }
+        {
+            // The loop thread owns the listener and every parked
+            // connection; workers execute parsed requests.
+            use std::os::unix::io::AsRawFd as _;
+            let listener = std::net::TcpListener::bind(&cfg.addr)?;
+            let addr = listener.local_addr()?;
+            let poller = poll::Poller::new()?;
+            let (wake_rx, waker) = poll::wake_pipe()?;
+            poller.add(wake_rx.fd(), event_loop::TOKEN_WAKE)?;
+            poller.add(listener.as_raw_fd(), event_loop::TOKEN_LISTENER)?;
+            listener.set_nonblocking(true)?;
+            let state = Arc::new(ServerState {
+                registry: Registry::new(&cfg.cache_dir).mmap(cfg.mmap),
+                cache_dir: cfg.cache_dir.clone(),
+                sessions: Mutex::new(HashMap::new()),
+                next_session: AtomicU64::new(0),
+                requests: AtomicUsize::new(0),
+                endpoints: std::array::from_fn(|_| EndpointStats::default()),
+                sessions_evicted: AtomicU64::new(0),
+                snapshots_saved: AtomicU64::new(0),
+                snapshots_restored: AtomicU64::new(0),
+                threads: cfg.threads.max(1),
+                session_ttl: cfg.session_ttl_secs.map(Duration::from_secs),
+                max_sessions: cfg.max_sessions.max(1),
+                request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
+                max_body: cfg.max_body_bytes.min(http::MAX_BODY),
+                accept_errors: AtomicU64::new(0),
+                open_connections: AtomicU64::new(0),
+                request_timeouts: AtomicU64::new(0),
+                shutdown: AtomicBool::new(false),
+                addr,
+                started: Instant::now(),
+                waker,
+            });
+            let (dispatch_tx, dispatch_rx) = crossbeam::channel::unbounded::<event_loop::Job>();
+            let (ret_tx, ret_rx) = crossbeam::channel::unbounded::<event_loop::Conn>();
+            let workers: Vec<_> = (0..cfg.threads.max(1))
+                .map(|_| {
+                    let rx = dispatch_rx.clone();
+                    let ret_tx = ret_tx.clone();
+                    let state = Arc::clone(&state);
+                    std::thread::spawn(move || event_worker(&state, &rx, &ret_tx))
                 })
+                .collect();
+            let loop_state = Arc::clone(&state);
+            let accept = std::thread::spawn(move || {
+                // Dropping `dispatch_tx` on exit disconnects the channel
+                // and drains the workers.
+                event_loop::run(loop_state, listener, poller, wake_rx, dispatch_tx, ret_rx);
+            });
+            Ok(Server {
+                state,
+                accept,
+                workers,
             })
-            .collect();
-        let accept_state = Arc::clone(&state);
-        let accept = std::thread::spawn(move || {
-            // `tx` lives in this thread; dropping it on exit disconnects
-            // the channel and drains the workers.
-            let mut backoff = ACCEPT_BACKOFF_MIN;
-            for stream in listener.incoming() {
-                if accept_state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        backoff = ACCEPT_BACKOFF_MIN;
-                        let guard = OpenConnGuard::new(&accept_state);
-                        if tx.send((s, guard)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        // Transient accept failure (classically EMFILE):
-                        // count it and sleep with a doubling backoff
-                        // instead of spinning hot on the error.
-                        accept_state.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    }
-                }
-            }
-        });
-        Server {
-            state,
-            accept,
-            workers,
         }
     }
 
@@ -498,9 +450,8 @@ impl Server {
         self.state.addr
     }
 
-    /// Requests shutdown: sets the flag and wakes the connection engine —
-    /// a self-pipe write on the event loop, a throwaway connection poke
-    /// on the fallback's blocked accept loop.
+    /// Requests shutdown: sets the flag and wakes the event loop over its
+    /// self-pipe.
     pub fn shutdown(&self) {
         request_shutdown(&self.state);
     }
@@ -515,30 +466,6 @@ impl Server {
     }
 }
 
-/// Minimum (and post-success reset) sleep after a failed accept.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
-/// Accept backoff doubles up to this cap.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
-
-/// Everything fallible the event engine needs, created *before* the
-/// engine is committed to: the poller (self-pipe and listener already
-/// registered, listener switched to non-blocking) plus both pipe ends.
-#[cfg(cgte_epoll)]
-type EventSetup = (poll::Poller, poll::WakeReceiver, Arc<poll::Waker>);
-
-#[cfg(cgte_epoll)]
-fn event_setup(listener: &TcpListener) -> std::io::Result<EventSetup> {
-    use std::os::unix::io::AsRawFd as _;
-    let poller = poll::Poller::new()?;
-    let (wake_rx, waker) = poll::wake_pipe()?;
-    poller.add(wake_rx.fd(), event_loop::TOKEN_WAKE)?;
-    poller.add(listener.as_raw_fd(), event_loop::TOKEN_LISTENER)?;
-    // Last, so an earlier failure leaves the listener untouched for the
-    // fallback engine.
-    listener.set_nonblocking(true)?;
-    Ok((poller, wake_rx, Arc::new(waker)))
-}
-
 /// Worker body of the event engine: execute one parsed request, write
 /// the response (the "writing" state of the connection machine, with a
 /// bounded blocking budget), then park the keep-alive connection back on
@@ -548,7 +475,6 @@ fn event_worker(
     state: &Arc<ServerState>,
     rx: &crossbeam::channel::Receiver<event_loop::Job>,
     ret_tx: &crossbeam::channel::Sender<event_loop::Conn>,
-    waker: &poll::Waker,
 ) {
     while let Ok(event_loop::Job { mut conn, req }) = rx.recv() {
         let keep_alive = req.keep_alive;
@@ -564,53 +490,17 @@ fn event_worker(
             && conn.stream.set_nonblocking(true).is_ok()
             && ret_tx.send(conn).is_ok()
         {
-            waker.wake();
+            state.waker.wake();
         }
         // Any other outcome drops the connection here (its guard keeps
         // the open-connections gauge honest).
     }
 }
 
-fn new_state(cfg: &ServeConfig, addr: SocketAddr, event_loop: bool) -> ServerState {
-    ServerState {
-        registry: Registry::new(&cfg.cache_dir).mmap(cfg.mmap),
-        cache_dir: cfg.cache_dir.clone(),
-        sessions: Mutex::new(HashMap::new()),
-        next_session: AtomicU64::new(0),
-        requests: AtomicUsize::new(0),
-        endpoints: std::array::from_fn(|_| EndpointStats::default()),
-        sessions_evicted: AtomicU64::new(0),
-        snapshots_saved: AtomicU64::new(0),
-        snapshots_restored: AtomicU64::new(0),
-        threads: cfg.threads.max(1),
-        idle_poll: Duration::from_millis(cfg.idle_poll_ms.max(1)),
-        session_ttl: cfg.session_ttl_secs.map(Duration::from_secs),
-        max_sessions: cfg.max_sessions.max(1),
-        request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
-        max_body: cfg.max_body_bytes.min(http::MAX_BODY),
-        event_loop,
-        accept_errors: AtomicU64::new(0),
-        open_connections: AtomicU64::new(0),
-        request_timeouts: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        addr,
-        started: Instant::now(),
-        #[cfg(cgte_epoll)]
-        waker: None,
-    }
-}
-
 fn request_shutdown(state: &ServerState) {
     state.shutdown.store(true, Ordering::SeqCst);
-    // The event engine wakes its loop over the self-pipe …
     #[cfg(cgte_epoll)]
-    if let Some(waker) = &state.waker {
-        waker.wake();
-        return;
-    }
-    // … the fallback engine unblocks its accept loop with a throwaway
-    // connection (accepted or refused, then immediately discarded).
-    let _ = TcpStream::connect(state.addr);
+    state.waker.wake();
 }
 
 /// Runs a server in the foreground until shutdown. Prints the grep-able
@@ -619,134 +509,18 @@ fn request_shutdown(state: &ServerState) {
 pub fn run(cfg: &ServeConfig) -> std::io::Result<()> {
     let server = Server::bind(cfg)?;
     eprintln!(
-        "cgte-serve listening on {} (store: {}, {} worker(s), {} engine)",
+        "cgte-serve listening on {} (store: {}, {} worker(s))",
         server.addr(),
         cfg.cache_dir.display(),
         cfg.threads.max(1),
-        if server.state.event_loop {
-            "event-loop"
-        } else {
-            "thread-per-connection"
-        },
     );
     server.join();
     eprintln!("cgte-serve: shutdown complete");
     Ok(())
 }
 
-/// A `TcpStream` reader enforcing the per-request deadline (the fallback
-/// engine's half of the slowloris fix): with a deadline armed, every read
-/// is capped at the time remaining and expiry surfaces as `TimedOut`;
-/// with no deadline, reads use the idle-poll interval so the keep-alive
-/// loop keeps re-checking the shutdown flag.
-struct TimedReader {
-    stream: TcpStream,
-    deadline: Option<Instant>,
-    idle_poll: Duration,
-}
-
-impl std::io::Read for TimedReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let timeout = match self.deadline {
-            None => self.idle_poll,
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(std::io::ErrorKind::TimedOut.into());
-                }
-                remaining.max(Duration::from_millis(1))
-            }
-        };
-        let _ = self.stream.set_read_timeout(Some(timeout));
-        self.stream.read(buf)
-    }
-}
-
-/// The thread-per-connection engine: one worker pinned to the connection
-/// for its whole lifetime, polling for the next request on a read
-/// timeout.
-fn handle_connection(state: &ServerState, stream: TcpStream, guard: OpenConnGuard) {
-    // Held for the connection's lifetime: keeps the open-connections
-    // gauge exact however this function exits.
-    let _guard = guard;
-    // One response = one write; disabling Nagle keeps request/response
-    // round trips off the delayed-ACK path.
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let _ = writer.set_write_timeout(Some(state.request_timeout));
-    let mut reader = BufReader::new(TimedReader {
-        stream,
-        deadline: None,
-        idle_poll: state.idle_poll,
-    });
-    loop {
-        // Idle wait: poll for the next request with a read timeout so a
-        // keep-alive connection cannot pin a worker past shutdown.
-        // `fill_buf` consumes nothing on timeout, so retrying is safe.
-        loop {
-            use std::io::BufRead as _;
-            match reader.fill_buf() {
-                Ok([]) => return, // clean EOF between requests
-                Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        // A request has started arriving: arm the request deadline. A
-        // client that stalls mid-request gets 408, never a pinned worker.
-        reader.get_mut().deadline = Some(Instant::now() + state.request_timeout);
-        let req = match http::read_request_limited(&mut reader, state.max_body) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,
-            Err(http::RequestError::TooLarge { length, max }) => {
-                let msg = format!("request body of {length} bytes exceeds the {max} limit");
-                let _ = http::write_json_response(&mut writer, 413, &error_body(&msg), false);
-                return;
-            }
-            Err(http::RequestError::TimedOut) => {
-                state.request_timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_json_response(
-                    &mut writer,
-                    408,
-                    &error_body("timed out reading the request"),
-                    false,
-                );
-                return;
-            }
-            Err(http::RequestError::Malformed(msg)) => {
-                // Malformed framing: answer 400 once, then hang up.
-                let _ = http::write_json_response(&mut writer, 400, &error_body(&msg), false);
-                return;
-            }
-            Err(http::RequestError::Io(_)) => return,
-        };
-        reader.get_mut().deadline = None;
-        let keep_alive = req.keep_alive;
-        let resp = respond(state, &req);
-        if http::write_response(&mut writer, &resp, keep_alive).is_err() {
-            return;
-        }
-        if !keep_alive || state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
 /// Routes one request and records every per-request metric (aggregate
-/// counter, span, per-endpoint hit/latency/size) — the single execution
-/// path shared by both connection engines, which is what makes their
-/// responses byte-identical by construction.
+/// counter, span, per-endpoint hit/latency/size).
 fn respond(state: &ServerState, req: &http::Request) -> http::Response {
     let endpoint = Endpoint::of(req);
     // Scrape/liveness traffic is accounted under its own endpoint label
@@ -831,14 +605,13 @@ fn healthz(state: &ServerState) -> String {
     evict_expired(state);
     let sessions = state.sessions.lock().expect("sessions lock poisoned").len();
     format!(
-        "{{\"status\":\"ok\",\"graphs\":{},\"sessions\":{sessions},\"loads\":{},\"builds\":{},\"requests\":{},\"threads\":{},\"connections\":{},\"event_loop\":{},\"uptime_secs\":{:.3}}}",
+        "{{\"status\":\"ok\",\"graphs\":{},\"sessions\":{sessions},\"loads\":{},\"builds\":{},\"requests\":{},\"threads\":{},\"connections\":{},\"uptime_secs\":{:.3}}}",
         state.registry.count(),
         state.registry.loads(),
         state.registry.builds(),
         state.requests.load(Ordering::Relaxed),
         state.threads,
         state.open_connections.load(Ordering::Relaxed),
-        state.event_loop,
         state.started.elapsed().as_secs_f64(),
     )
 }

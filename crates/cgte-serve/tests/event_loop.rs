@@ -1,8 +1,7 @@
-//! Integration tests for the event-driven connection engine: worker
-//! starvation under `connections >> threads`, byte-identity between the
-//! epoll engine and the thread-per-connection fallback, the slowloris
-//! read deadline (408), the request-body cap (413), and the new
-//! connection-health metric families.
+//! Integration tests for the event-driven connection engine: fresh
+//! requests under `connections >> threads`, the slowloris read deadline
+//! (408), the request-body cap (413), request framing that answers one
+//! request exactly once, and the connection-health metric families.
 
 use cgte_graph::generators::{planted_partition, PlantedConfig};
 use cgte_graph::store::{graph_sections, partition_section, Container, Section};
@@ -16,8 +15,6 @@ use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-const SEED: u64 = 0x5EED;
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cgte-serve-ev-{tag}-{}", std::process::id()));
@@ -53,7 +50,6 @@ fn config(dir: &Path) -> ServeConfig {
         cache_dir: dir.to_path_buf(),
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        idle_poll_ms: 50,
         ..ServeConfig::default()
     }
 }
@@ -91,7 +87,6 @@ fn metric_value(metrics: &str, family: &str) -> f64 {
 /// The tentpole contract: with far more open connections than worker
 /// threads, a fresh request still answers promptly because parked idle
 /// connections cost the event loop nothing.
-#[cfg(cgte_epoll)]
 #[test]
 fn event_engine_serves_fresh_requests_past_many_idle_connections() {
     let dir = temp_store("idle");
@@ -119,7 +114,6 @@ fn event_engine_serves_fresh_requests_past_many_idle_connections() {
     let (st, body) = fresh.request("GET", "/healthz", "").unwrap();
     assert_eq!(st, 200, "{body}");
     let h = parse_json(&body).unwrap();
-    assert_eq!(h.get("event_loop").unwrap(), &Json::Bool(true));
     assert!(
         as_f64(h.get("connections").unwrap()) >= 49.0,
         "open-connection gauge undercounts: {body}"
@@ -138,224 +132,129 @@ fn event_engine_serves_fresh_requests_past_many_idle_connections() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The contrast that motivates the tentpole: thread-per-connection pins a
-/// worker per open connection, so `threads` idle keep-alive clients
-/// starve every later arrival until one hangs up.
-#[test]
-fn fallback_engine_starves_fresh_requests_behind_idle_connections() {
-    let dir = temp_store("starve");
-    let (g, p) = planted();
-    write_graph(&dir, "planted", &g, &p);
-    let server = Server::bind(&ServeConfig {
-        event_loop: false,
-        ..config(&dir)
-    })
-    .unwrap();
-    let addr = server.addr();
-
-    // Two keep-alive clients occupy both workers.
-    let occupiers: Vec<Client> = (0..2)
-        .map(|_| {
-            let mut c = Client::connect(addr).unwrap();
-            let (st, _) = c.request("GET", "/healthz", "").unwrap();
-            assert_eq!(st, 200);
-            c
-        })
-        .collect();
-
-    // A third connection queues behind them and gets no answer.
-    let mut third = TcpStream::connect(addr).unwrap();
-    third
-        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    third
-        .set_read_timeout(Some(Duration::from_millis(700)))
-        .unwrap();
-    let mut buf = [0u8; 1];
-    let starved = third.read(&mut buf);
-    assert!(
-        matches!(&starved, Err(e) if matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )),
-        "thread-per-connection should starve the third request, got {starved:?}"
-    );
-
-    // Freeing a worker un-wedges the queue and the buffered request is
-    // finally served.
-    drop(occupiers);
-    third
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut out = String::new();
-    third.read_to_string(&mut out).ok();
-    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
-
-    drop(third);
-    server.shutdown();
-    server.join();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Both connection engines must answer a scripted session — happy paths
-/// and typed errors alike — with byte-identical bodies.
-#[test]
-fn engines_answer_byte_identically_on_a_scripted_session() {
-    let dir = temp_store("ident");
-    let (g, p) = planted();
-    write_graph(&dir, "planted", &g, &p);
-
-    let drive = |event_loop: bool| -> Vec<(u16, String)> {
-        let server = Server::bind(&ServeConfig {
-            event_loop,
-            ..config(&dir)
-        })
-        .unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
-        let session_open = format!(
-            "{{\"graph\":\"planted\",\"partition\":\"main\",\"sampler\":\"rw\",\"seed\":{SEED}}}"
-        );
-        let script: Vec<(&str, String, String)> = vec![
-            ("GET", "/graphs".into(), String::new()),
-            ("POST", "/sessions".into(), session_open),
-            (
-                "POST",
-                "/sessions/s0/ingest".into(),
-                "{\"steps\":250}".into(),
-            ),
-            ("GET", "/sessions/s0/estimate".into(), String::new()),
-            (
-                "GET",
-                "/sessions/s0/estimate?ci=0.95&reps=50".into(),
-                String::new(),
-            ),
-            ("POST", "/sessions".into(), "{not json".into()),
-            ("POST", "/sessions".into(), "{\"graph\":\"nope\"}".into()),
-            ("POST", "/sessions/s0/ingest".into(), "{\"steps\":0}".into()),
-            ("GET", "/sessions/s9/estimate".into(), String::new()),
-        ];
-        let out = script
-            .iter()
-            .map(|(m, p, b)| c.request(m, p, b).unwrap())
-            .collect();
-        // The engine under test is really the one engaged (on platforms
-        // without the vendored epoll layer both runs use the fallback).
-        let (_, health) = c.request("GET", "/healthz", "").unwrap();
-        let h = parse_json(&health).unwrap();
-        let engaged = h.get("event_loop").unwrap() == &Json::Bool(true);
-        assert_eq!(engaged, event_loop && cfg!(cgte_epoll));
-        server.shutdown();
-        server.join();
-        out
-    };
-
-    let event = drive(true);
-    let fallback = drive(false);
-    assert_eq!(event.len(), fallback.len());
-    for (i, (e, f)) in event.iter().zip(&fallback).enumerate() {
-        assert_eq!(e.0, f.0, "status diverges at script step {i}");
-        assert_eq!(e.1, f.1, "body diverges at script step {i}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Slowloris bound: a request that starts arriving but never completes is
-/// answered 408 within the configured deadline on both engines, while a
-/// connection that is merely idle (zero bytes sent) is never expired.
+/// answered 408 within the configured deadline, while a connection that
+/// is merely idle (zero bytes sent) is never expired.
 #[test]
 fn stalled_requests_time_out_with_408_on_both_engines() {
     let dir = temp_store("slow");
     let (g, p) = planted();
     write_graph(&dir, "planted", &g, &p);
-    for event_loop in [true, false] {
-        let server = Server::bind(&ServeConfig {
-            event_loop,
-            request_timeout_ms: 300,
-            ..config(&dir)
-        })
+    let server = Server::bind(&ServeConfig {
+        request_timeout_ms: 300,
+        ..config(&dir)
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    // Half a request: headers promise 10 body bytes, only 3 arrive.
+    let out = raw_exchange(
+        addr,
+        b"POST /sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+        Duration::from_secs(10),
+    );
+    assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+    assert!(out.contains("timed out reading the request"), "{out}");
+
+    // Headers that never terminate stall the same way.
+    let out = raw_exchange(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nX-Stall: yes",
+        Duration::from_secs(10),
+    );
+    assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+
+    // An idle connection outlives the request deadline untouched: the
+    // deadline arms on the first byte, not on accept.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
         .unwrap();
-        let addr = server.addr();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = String::new();
+    idle.read_to_string(&mut out).ok();
+    assert!(
+        out.starts_with("HTTP/1.1 200"),
+        "idle connection expired: {out}"
+    );
+    drop(idle);
 
-        // Half a request: headers promise 10 body bytes, only 3 arrive.
-        let out = raw_exchange(
-            addr,
-            b"POST /sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-            Duration::from_secs(10),
-        );
-        assert!(
-            out.starts_with("HTTP/1.1 408"),
-            "engine event_loop={event_loop}: {out}"
-        );
-        assert!(out.contains("timed out reading the request"), "{out}");
-
-        // Headers that never terminate stall the same way.
-        let out = raw_exchange(
-            addr,
-            b"GET /healthz HTTP/1.1\r\nX-Stall: yes",
-            Duration::from_secs(10),
-        );
-        assert!(
-            out.starts_with("HTTP/1.1 408"),
-            "engine event_loop={event_loop}: {out}"
-        );
-
-        // An idle connection outlives the request deadline untouched: the
-        // deadline arms on the first byte, not on accept.
-        let mut idle = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(600));
-        idle.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut out = String::new();
-        idle.read_to_string(&mut out).ok();
-        assert!(
-            out.starts_with("HTTP/1.1 200"),
-            "idle connection was expired (event_loop={event_loop}): {out}"
-        );
-        drop(idle);
-
-        let mut c = Client::connect(addr).unwrap();
-        let (st, metrics) = c.request("GET", "/metrics", "").unwrap();
-        assert_eq!(st, 200);
-        assert!(
-            metric_value(&metrics, "cgte_serve_request_timeouts_total") >= 2.0,
-            "{metrics}"
-        );
-        server.shutdown();
-        server.join();
-    }
+    let mut c = Client::connect(addr).unwrap();
+    let (st, metrics) = c.request("GET", "/metrics", "").unwrap();
+    assert_eq!(st, 200);
+    assert!(
+        metric_value(&metrics, "cgte_serve_request_timeouts_total") >= 2.0,
+        "{metrics}"
+    );
+    server.shutdown();
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Request-body cap: a body longer than `max_body_bytes` answers 413
-/// without being read, on both engines; an in-budget body still parses.
+/// without being read; an in-budget body still parses.
 #[test]
 fn oversized_bodies_are_rejected_with_413_on_both_engines() {
     let dir = temp_store("cap");
     let (g, p) = planted();
     write_graph(&dir, "planted", &g, &p);
-    for event_loop in [true, false] {
-        let server = Server::bind(&ServeConfig {
-            event_loop,
-            max_body_bytes: 1024,
-            ..config(&dir)
-        })
-        .unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
-        let (st, body) = c.request("POST", "/sessions", &"x".repeat(2000)).unwrap();
-        assert_eq!(st, 413, "engine event_loop={event_loop}: {body}");
-        assert!(body.contains("exceeds the 1024 limit"), "{body}");
+    let server = Server::bind(&ServeConfig {
+        max_body_bytes: 1024,
+        ..config(&dir)
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (st, body) = c.request("POST", "/sessions", &"x".repeat(2000)).unwrap();
+    assert_eq!(st, 413, "{body}");
+    assert!(body.contains("exceeds the 1024 limit"), "{body}");
 
-        // The 413 hangs up; an in-budget request on a new connection is
-        // unaffected (it is malformed JSON, a typed 400 — not 413).
-        let mut c = Client::connect(server.addr()).unwrap();
-        let (st, _) = c.request("POST", "/sessions", &"x".repeat(1024)).unwrap();
-        assert_eq!(st, 400);
-        server.shutdown();
-        server.join();
-    }
+    // The 413 hangs up; an in-budget request on a new connection is
+    // unaffected (it is malformed JSON, a typed 400 — not 413).
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (st, _) = c.request("POST", "/sessions", &"x".repeat(1024)).unwrap();
+    assert_eq!(st, 400);
+    server.shutdown();
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sends `raw` on a fresh connection and asserts that exactly one
+/// response — a 400 carrying `msg` — arrives before the server hangs up.
+fn assert_single_400(tag: &str, raw: &[u8], msg: &str) {
+    let dir = temp_store(tag);
+    let server = Server::bind(&config(&dir)).unwrap();
+    let out = raw_exchange(server.addr(), raw, Duration::from_secs(10));
+    assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+    assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+    assert!(out.contains("Connection: close"), "{out}");
+    assert!(out.contains(msg), "{out}");
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A chunked body is refused outright. Framed as a zero-length body, its
+/// chunk bytes would be read as a pipelined second request and one
+/// request would be answered twice.
+#[test]
+fn transfer_encoding_is_refused_with_a_single_400() {
+    assert_single_400(
+        "te",
+        b"POST /sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        "Transfer-Encoding is not supported",
+    );
+}
+
+/// Differing duplicate `Content-Length` values are refused (RFC 9112
+/// §6.3) instead of resolving "last wins".
+#[test]
+fn conflicting_content_lengths_are_refused_with_a_single_400() {
+    assert_single_400(
+        "cl",
+        b"POST /sessions HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}",
+        "conflicting Content-Length values 2 and 4",
+    );
 }
 
 /// The new connection-health families are present in the exposition with
