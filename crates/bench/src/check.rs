@@ -3,7 +3,9 @@
 //! Compares a freshly produced harness report against a committed
 //! baseline, metric by metric, with ratio thresholds: a metric that drops
 //! below [`FAIL_RATIO`] (>25 % regression) fails the gate, below
-//! [`WARN_RATIO`] (>10 %) warns.
+//! [`WARN_RATIO`] (>10 %) warns. The gated metrics are the rows of one
+//! table, `GATES`; a report missing any section or field a row reads
+//! is unusable input, baseline and current report alike.
 //!
 //! **Machine normalization.** Absolute throughputs (edges/sec,
 //! steps/sec, samples/sec) are only meaningful between comparable
@@ -53,43 +55,124 @@ enum MetricClass {
     Ratio,
 }
 
+/// Which way a metric improves. The gate ratio is oriented so that
+/// `< 1` always means "got worse".
+#[derive(Debug, Clone, Copy)]
+enum Better {
+    /// Throughputs and ratios: current / baseline.
+    Higher,
+    /// Latencies: baseline / current, both sides first clamped up to
+    /// `floor` milliseconds (see [`LATENCY_FLOOR_MS`]).
+    Lower { floor: f64 },
+}
+
+/// The objects of a section a gate reads, each with the tag that
+/// replaces `{}` in the gate's name.
+#[derive(Debug, Clone, Copy)]
+enum Over {
+    /// The section itself (an object).
+    Section,
+    /// Every entry of an array section, tagged by this key.
+    Entries(&'static str),
+    /// Every entry of the section's `runs`, tagged by this key.
+    Runs(&'static str),
+}
+
+/// Where the gated number sits in each object [`Over`] yields.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    /// A number under this key.
+    Key(&'static str),
+    /// This key of the serial (`threads == 1`) entry of `runs`.
+    Serial(&'static str),
+}
+
+/// One row of the gate table.
+struct Gate {
+    /// Metric name; its first path component is the report section, and
+    /// `{}` stands for the tag of each object [`Over`] yields.
+    name: &'static str,
+    over: Over,
+    at: At,
+    class: MetricClass,
+    better: Better,
+    /// Read only from reports recorded on more than one core: on a
+    /// 1-core box any recorded speedup is scheduler/timer noise around
+    /// 1.0 and would make the gate flaky.
+    multicore_only: bool,
+}
+
+impl Gate {
+    fn section(&self) -> &'static str {
+        self.name.split('/').next().unwrap_or(self.name)
+    }
+}
+
+const fn gate(
+    name: &'static str,
+    over: Over,
+    at: At,
+    class: MetricClass,
+    better: Better,
+    multicore_only: bool,
+) -> Gate {
+    Gate {
+        name,
+        over,
+        at,
+        class,
+        better,
+        multicore_only,
+    }
+}
+
+use At::{Key, Serial};
+use Better::{Higher, Lower};
+use MetricClass::{Absolute, Ratio};
+use Over::{Entries, Runs, Section};
+
+const CLOSED: Better = Lower {
+    floor: LATENCY_FLOOR_MS,
+};
+const OPEN: Better = Lower {
+    floor: OPEN_LOOP_LATENCY_FLOOR_MS,
+};
+
+/// Every metric the gate compares. Absolute rows gate only between
+/// matching machines; Ratio rows (both sides timed back to back on one
+/// box within one run) always gate — `load/mmap_vs_heap` collapsing
+/// means the zero-copy path stopped being cheaper than a heap decode,
+/// an `obs` ratio collapsing means tracing got expensive relative to the
+/// hot path it instruments, and `cluster/best_speedup` is the round
+/// pool's wall-clock ratio. The `.cgtes` round trip (`snapshot`) is
+/// inherently serial, so its rates are plain serial throughputs.
+#[rustfmt::skip]
+static GATES: [Gate; 18] = [
+    //   name                                 over                      at                                 class     better  multicore_only
+    gate("build/{}/edges_per_sec@1",          Entries("generator"),     Serial("edges_per_sec"),           Absolute, Higher, false),
+    gate("build/{}/best_speedup",             Entries("generator"),     Key("best_speedup"),               Absolute, Higher, true),
+    gate("walk/{}/steps_per_sec@1",           Entries("sampler"),       Serial("steps_per_sec"),           Absolute, Higher, false),
+    gate("estimate/samples_per_sec@1",        Section,                  Serial("samples_per_sec"),         Absolute, Higher, false),
+    gate("load/edges_per_sec",                Section,                  Key("load_edges_per_sec"),         Absolute, Higher, false),
+    gate("load/speedup_vs_regen",             Section,                  Key("speedup_vs_regen"),           Ratio,    Higher, false),
+    gate("load/mmap_vs_heap",                 Section,                  Key("mmap_vs_heap"),               Ratio,    Higher, false),
+    gate("snapshot/write_samples_per_sec",    Section,                  Key("write_samples_per_sec"),      Absolute, Higher, false),
+    gate("snapshot/restore_samples_per_sec",  Section,                  Key("restore_samples_per_sec"),    Absolute, Higher, false),
+    gate("serve/requests_per_sec@1",          Section,                  Serial("requests_per_sec"),        Absolute, Higher, false),
+    gate("serve/p50_ms@1",                    Section,                  Serial("p50_ms"),                  Absolute, CLOSED, false),
+    gate("serve/p99_ms@1",                    Section,                  Serial("p99_ms"),                  Absolute, CLOSED, false),
+    gate("serve_open/achieved_rps@{}",        Runs("requested_conns"),  Key("achieved_rps"),               Absolute, Higher, false),
+    gate("serve_open/p99_ms@{}",              Runs("requested_conns"),  Key("p99_ms"),                     Absolute, OPEN,   false),
+    gate("cluster/samples_per_sec@1",         Section,                  Serial("samples_per_sec"),         Absolute, Higher, false),
+    gate("cluster/best_speedup",              Section,                  Key("best_speedup"),               Ratio,    Higher, true),
+    gate("obs/walk_traced_ratio",             Section,                  Key("walk_traced_ratio"),          Ratio,    Higher, false),
+    gate("obs/serve_traced_ratio",            Section,                  Key("serve_traced_ratio"),         Ratio,    Higher, false),
+];
+
 struct Metric {
     name: String,
     value: f64,
-    class: MetricClass,
-    /// Most metrics are throughputs (bigger is better); latency metrics
-    /// (`p50_ms`, `p99_ms`) invert — the gate ratio is computed so that
-    /// `< 1` always means "got worse".
-    higher_is_better: bool,
-    /// Latency floor: both sides clamp up to this before the gate
-    /// ratio (see [`LATENCY_FLOOR_MS`]). Unused for throughputs.
-    floor: f64,
-}
-
-impl Metric {
-    fn throughput(name: String, value: f64, class: MetricClass) -> Metric {
-        Metric {
-            name,
-            value,
-            class,
-            higher_is_better: true,
-            floor: 0.0,
-        }
-    }
-
-    fn latency(name: String, value: f64) -> Metric {
-        Metric::latency_floored(name, value, LATENCY_FLOOR_MS)
-    }
-
-    fn latency_floored(name: String, value: f64, floor: f64) -> Metric {
-        Metric {
-            name,
-            value,
-            class: MetricClass::Absolute,
-            higher_is_better: false,
-            floor,
-        }
-    }
+    gate: &'static Gate,
 }
 
 struct Extracted {
@@ -126,196 +209,74 @@ fn num(v: &Json, key: &str, ctx: &str) -> Result<f64, String> {
     }
 }
 
-fn text<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    match get(v, key, ctx)? {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("{ctx}: {key} is not a string ({other:?})")),
-    }
+/// The entries of the array `list`, each tagged by its `tag` key.
+fn tagged<'a>(list: &'a Json, tag: &str, ctx: &str) -> Result<Vec<(String, &'a Json)>, String> {
+    let Json::Arr(entries) = list else {
+        return Err(format!("{ctx}: expected an array tagged by {tag:?}"));
+    };
+    entries
+        .iter()
+        .map(|e| match get(e, tag, ctx)? {
+            Json::Str(s) => Ok((s.clone(), e)),
+            Json::Num(x) => Ok((x.to_string(), e)),
+            other => Err(format!(
+                "{ctx}: {tag} is not a string or number ({other:?})"
+            )),
+        })
+        .collect()
 }
 
-fn arr<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a [Json], String> {
-    match get(v, key, ctx)? {
-        Json::Arr(a) => Ok(a),
-        other => Err(format!("{ctx}: {key} is not an array ({other:?})")),
-    }
-}
-
-/// The serial (threads == 1) rate of a `runs` array.
-fn serial_rate(entry: &Json, rate_key: &str, ctx: &str) -> Result<f64, String> {
-    for run in arr(entry, "runs", ctx)? {
-        if num(run, "threads", ctx)? == 1.0 {
-            return num(run, rate_key, ctx);
+impl Over {
+    fn objects<'a>(self, section: &'a Json, ctx: &str) -> Result<Vec<(String, &'a Json)>, String> {
+        match self {
+            Over::Section => Ok(vec![(String::new(), section)]),
+            Over::Entries(tag) => tagged(section, tag, ctx),
+            Over::Runs(tag) => tagged(get(section, "runs", ctx)?, tag, ctx),
         }
     }
-    Err(format!("{ctx}: no threads=1 run"))
+}
+
+impl At {
+    fn read(self, obj: &Json, ctx: &str) -> Result<f64, String> {
+        match self {
+            At::Key(key) => num(obj, key, ctx),
+            At::Serial(key) => {
+                let runs = tagged(get(obj, "runs", ctx)?, "threads", ctx)?;
+                let (_, serial) = runs
+                    .into_iter()
+                    .find(|(threads, _)| threads == "1")
+                    .ok_or_else(|| format!("{ctx}: no threads=1 run"))?;
+                num(serial, key, ctx)
+            }
+        }
+    }
 }
 
 fn extract(report: &str, label: &str) -> Result<Extracted, String> {
     let v = parse_json(report).map_err(|e| format!("{label}: invalid JSON: {e}"))?;
-    let schema = text(&v, "schema", label)?;
-    if schema != "cgte-bench/1" {
+    let schema = get(&v, "schema", label)?;
+    if !matches!(schema, Json::Str(s) if s == "cgte-bench/1") {
         return Err(format!("{label}: unsupported schema {schema:?}"));
     }
     let quick = matches!(get(&v, "quick", label)?, Json::Bool(true));
     let parallelism = num(&v, "available_parallelism", label)?;
     let mut metrics = Vec::new();
-
-    for entry in arr(&v, "build", label)? {
-        let generator = text(entry, "generator", label)?;
-        let ctx = format!("{label}: build/{generator}");
-        metrics.push(Metric::throughput(
-            format!("build/{generator}/edges_per_sec@1"),
-            serial_rate(entry, "edges_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-        // Thread-scaling figures are meaningful only when the machine can
-        // actually scale: on a 1-core box any recorded speedup is
-        // scheduler/timer noise and would make the gate flaky.
-        if parallelism > 1.0 {
-            metrics.push(Metric::throughput(
-                format!("build/{generator}/best_speedup"),
-                num(entry, "best_speedup", &ctx)?,
-                MetricClass::Absolute,
-            ));
+    for gate in GATES.iter() {
+        if gate.multicore_only && parallelism <= 1.0 {
+            continue;
         }
-    }
-    for entry in arr(&v, "walk", label)? {
-        let sampler = text(entry, "sampler", label)?;
-        let ctx = format!("{label}: walk/{sampler}");
-        metrics.push(Metric::throughput(
-            format!("walk/{sampler}/steps_per_sec@1"),
-            serial_rate(entry, "steps_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-    }
-    let estimate = get(&v, "estimate", label)?;
-    metrics.push(Metric::throughput(
-        "estimate/samples_per_sec@1".into(),
-        serial_rate(estimate, "samples_per_sec", &format!("{label}: estimate"))?,
-        MetricClass::Absolute,
-    ));
-    // Reports written before the load section existed (PR3) simply
-    // contribute no load metrics.
-    if let Some(load) = v.get("load") {
-        let ctx = format!("{label}: load");
-        metrics.push(Metric::throughput(
-            "load/edges_per_sec".into(),
-            num(load, "load_edges_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-        metrics.push(Metric::throughput(
-            "load/speedup_vs_regen".into(),
-            num(load, "speedup_vs_regen", &ctx)?,
-            MetricClass::Ratio,
-        ));
-        // Reports written before the mapped load path existed (PR8 and
-        // earlier) simply contribute no mmap metric. Like the regen
-        // ratio, mapped-vs-heap load time is internal (both sides timed
-        // back to back on one box within one run), so it always gates —
-        // a collapsing ratio means the zero-copy path stopped being
-        // cheaper than a full heap decode.
-        if load.get("mmap_vs_heap").is_some() {
-            metrics.push(Metric::throughput(
-                "load/mmap_vs_heap".into(),
-                num(load, "mmap_vs_heap", &ctx)?,
-                MetricClass::Ratio,
-            ));
+        let section = gate.section();
+        let obj = v
+            .get(section)
+            .ok_or_else(|| format!("{label}: missing section {section:?}"))?;
+        let ctx = format!("{label}: {section}");
+        for (tag, obj) in gate.over.objects(obj, &ctx)? {
+            metrics.push(Metric {
+                name: gate.name.replace("{}", &tag),
+                value: gate.at.read(obj, &ctx)?,
+                gate,
+            });
         }
-    }
-    // Reports written before the snapshot section existed simply
-    // contribute no snapshot metrics. Both rates are serial absolute
-    // throughputs (the `.cgtes` round trip is inherently single-core).
-    if let Some(snapshot) = v.get("snapshot") {
-        let ctx = format!("{label}: snapshot");
-        metrics.push(Metric::throughput(
-            "snapshot/write_samples_per_sec".into(),
-            num(snapshot, "write_samples_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-        metrics.push(Metric::throughput(
-            "snapshot/restore_samples_per_sec".into(),
-            num(snapshot, "restore_samples_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-    }
-    // Reports written before the serve section existed (PR4 and earlier)
-    // simply contribute no serve metrics. Latencies gate inverted: a
-    // higher p50/p99 than baseline is the regression.
-    if let Some(serve) = v.get("serve") {
-        let ctx = format!("{label}: serve");
-        metrics.push(Metric::throughput(
-            "serve/requests_per_sec@1".into(),
-            serial_rate(serve, "requests_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-        metrics.push(Metric::latency(
-            "serve/p50_ms@1".into(),
-            serial_rate(serve, "p50_ms", &ctx)?,
-        ));
-        metrics.push(Metric::latency(
-            "serve/p99_ms@1".into(),
-            serial_rate(serve, "p99_ms", &ctx)?,
-        ));
-    }
-    // Reports written before the serve_open section existed (PR9 and
-    // earlier) simply contribute no open-loop metrics. Per-connection-
-    // count throughput and tail latency are absolute (machine-matched).
-    // An `idle` object in older reports is ignored.
-    if let Some(serve_open) = v.get("serve_open") {
-        let ctx = format!("{label}: serve_open");
-        for run in arr(serve_open, "runs", &ctx)? {
-            let conns = num(run, "requested_conns", &ctx)? as u64;
-            metrics.push(Metric::throughput(
-                format!("serve_open/achieved_rps@{conns}"),
-                num(run, "achieved_rps", &ctx)?,
-                MetricClass::Absolute,
-            ));
-            metrics.push(Metric::latency_floored(
-                format!("serve_open/p99_ms@{conns}"),
-                num(run, "p99_ms", &ctx)?,
-                OPEN_LOOP_LATENCY_FLOOR_MS,
-            ));
-        }
-    }
-    // Reports written before the cluster section existed (PR7 and
-    // earlier) simply contribute no cluster metrics. The serial
-    // coordinator rate is an absolute throughput; the round-pool speedup
-    // is an internal wall-clock ratio (both sides timed back to back on
-    // one box within one run) — but like every speedup it is only
-    // extracted on machines that can actually scale, since a 1-core
-    // box's recorded speedup is scheduler noise around 1.0.
-    if let Some(cluster) = v.get("cluster") {
-        let ctx = format!("{label}: cluster");
-        metrics.push(Metric::throughput(
-            "cluster/samples_per_sec@1".into(),
-            serial_rate(cluster, "samples_per_sec", &ctx)?,
-            MetricClass::Absolute,
-        ));
-        if parallelism > 1.0 {
-            metrics.push(Metric::throughput(
-                "cluster/best_speedup".into(),
-                num(cluster, "best_speedup", &ctx)?,
-                MetricClass::Ratio,
-            ));
-        }
-    }
-    // Reports written before the obs section existed (PR6 and earlier)
-    // simply contribute no obs metrics. Both traced/disabled ratios are
-    // internal (off and noop-traced timed back to back on one box), so
-    // they gate across machines — a collapsing ratio means tracing got
-    // expensive relative to the hot path it instruments.
-    if let Some(obs) = v.get("obs") {
-        let ctx = format!("{label}: obs");
-        metrics.push(Metric::throughput(
-            "obs/walk_traced_ratio".into(),
-            num(obs, "walk_traced_ratio", &ctx)?,
-            MetricClass::Ratio,
-        ));
-        metrics.push(Metric::throughput(
-            "obs/serve_traced_ratio".into(),
-            num(obs, "serve_traced_ratio", &ctx)?,
-            MetricClass::Ratio,
-        ));
     }
     Ok(Extracted {
         quick,
@@ -325,8 +286,8 @@ fn extract(report: &str, label: &str) -> Result<Extracted, String> {
 }
 
 /// Compares a current harness report against a baseline report. `Err` is
-/// reserved for unusable input (bad JSON, tier mismatch); regressions
-/// land in the returned [`CheckOutcome`].
+/// reserved for unusable input (bad JSON, a missing section or field,
+/// tier mismatch); regressions land in the returned [`CheckOutcome`].
 pub fn check_reports(current: &str, baseline: &str) -> Result<CheckOutcome, String> {
     let cur = extract(current, "current report")?;
     let base = extract(baseline, "baseline")?;
@@ -340,7 +301,7 @@ pub fn check_reports(current: &str, baseline: &str) -> Result<CheckOutcome, Stri
     let same_machine = cur.parallelism == base.parallelism;
     let mut out = CheckOutcome::default();
     for bm in &base.metrics {
-        if bm.class == MetricClass::Absolute && !same_machine {
+        if bm.gate.class == MetricClass::Absolute && !same_machine {
             out.skipped += 1;
             continue;
         }
@@ -356,13 +317,9 @@ pub fn check_reports(current: &str, baseline: &str) -> Result<CheckOutcome, Stri
             continue;
         }
         out.compared += 1;
-        // Oriented so < 1 always means "got worse": current/baseline for
-        // throughputs, baseline/current for latencies (the latter floored
-        // at [`LATENCY_FLOOR_MS`] — see its docs).
-        let ratio = if bm.higher_is_better {
-            cm.value / bm.value
-        } else {
-            bm.value.max(bm.floor) / cm.value.max(bm.floor)
+        let ratio = match bm.gate.better {
+            Better::Higher => cm.value / bm.value,
+            Better::Lower { floor } => bm.value.max(floor) / cm.value.max(floor),
         };
         let line = format!(
             "{}: {:.1} vs baseline {:.1} (ratio {:.3})",
@@ -381,60 +338,105 @@ pub fn check_reports(current: &str, baseline: &str) -> Result<CheckOutcome, Stri
 mod tests {
     use super::*;
 
-    /// A minimal but schema-complete report with every rate scaled by
-    /// `f` (except the internal load ratio, scaled by `ratio_f`).
-    fn report(parallelism: usize, f: f64, ratio_f: f64) -> String {
+    /// The names of every metric the gate reads from `report`.
+    fn gated_names(report: &str) -> Vec<String> {
+        let report = extract(report, "report").unwrap();
+        report.metrics.into_iter().map(|m| m.name).collect()
+    }
+
+    /// A schema-complete report shaped like the committed baseline (five
+    /// generators, two samplers, two open-loop connection counts). Each
+    /// gated value is its base value scaled by `scale(name)`: throughputs
+    /// and ratios multiply, latencies divide, so a factor `< 1` always
+    /// degrades.
+    fn synthetic(parallelism: usize, scale: impl Fn(&str) -> f64) -> String {
+        let up = |name: &str, base: f64| base * scale(name);
+        let down = |name: &str, base: f64| base / scale(name);
+        let build: Vec<String> = ["chung_lu", "gnp", "barabasi_albert", "configuration", "planted"]
+            .iter()
+            .map(|g| {
+                format!(
+                    r#"    {{"generator":"{g}","nodes":1000,"edges":5000,"bit_identical":true,"best_speedup":{:.3},"runs":[{{"threads":1,"secs":0.5,"edges_per_sec":{:.1}}},{{"threads":2,"secs":0.4,"edges_per_sec":12000.0}}]}}"#,
+                    up(&format!("build/{g}/best_speedup"), 1.2),
+                    up(&format!("build/{g}/edges_per_sec@1"), 10000.0),
+                )
+            })
+            .collect();
+        let walk: Vec<String> = ["rw", "mhrw"]
+            .iter()
+            .map(|s| {
+                format!(
+                    r#"    {{"sampler":"{s}","steps_per_walker":1000,"best_speedup":1.0,"runs":[{{"threads":1,"secs":0.1,"steps_per_sec":{:.1}}}]}}"#,
+                    up(&format!("walk/{s}/steps_per_sec@1"), 50000.0),
+                )
+            })
+            .collect();
+        // p99 above OPEN_LOOP_LATENCY_FLOOR_MS, so a degraded tail
+        // exercises the open-loop gate past its clamp.
+        let open: Vec<String> = [(1000, 790.0, 2_400.0), (10000, 760.0, 4_000.0)]
+            .iter()
+            .map(|&(conns, rps, p99)| {
+                format!(
+                    r#"{{"requested_conns":{conns},"open_conns":{conns},"requests":1600,"secs":2.0,"achieved_rps":{:.1},"p50_ms":2.0000,"p99_ms":{:.4}}}"#,
+                    up(&format!("serve_open/achieved_rps@{conns}"), rps),
+                    down(&format!("serve_open/p99_ms@{conns}"), p99),
+                )
+            })
+            .collect();
         format!(
             r#"{{
   "schema": "cgte-bench/1",
-  "pr": "PR4",
+  "pr": "PR10",
   "quick": true,
   "seed": 7,
   "available_parallelism": {parallelism},
   "threads": [1,2],
   "build": [
-    {{"generator":"chung_lu","nodes":1000,"edges":5000,"bit_identical":true,"best_speedup":{sp:.3},"runs":[{{"threads":1,"secs":0.5,"edges_per_sec":{b1:.1}}},{{"threads":2,"secs":0.4,"edges_per_sec":{b2:.1}}}]}}
+{build}
   ],
   "walk": [
-    {{"sampler":"rw","steps_per_walker":1000,"best_speedup":1.0,"runs":[{{"threads":1,"secs":0.1,"steps_per_sec":{w1:.1}}}]}}
+{walk}
   ],
   "estimate": {{"nodes":100,"replications":2,"max_size":10,"targets":3,"best_speedup":1.0,"runs":[{{"threads":1,"secs":0.1,"samples_per_sec":{e1:.1}}}]}},
   "load": {{"generator":"chung_lu","nodes":1000,"edges":5000,"write_secs":0.1,"load_secs":0.01,"mmap_secs":0.001,"regen_secs":0.5,"load_edges_per_sec":{l1:.1},"mmap_edges_per_sec":5000000.0,"regen_edges_per_sec":10000.0,"speedup_vs_regen":{lr:.3},"mmap_vs_heap":{lm:.3},"identical":true,"mmap_identical":true,"mapped":true}},
   "snapshot": {{"nodes":1000,"categories":10,"samples":50000,"bytes":1200000,"write_secs":0.01,"restore_secs":0.02,"write_samples_per_sec":{sw:.1},"restore_samples_per_sec":{sr:.1},"identical":true}},
   "serve": {{"nodes":1000,"edges":5000,"categories":10,"rounds":25,"steps_per_ingest":200,"best_speedup":1.0,"runs":[{{"threads":1,"secs":1.0,"requests":100,"requests_per_sec":{s1:.1},"p50_ms":{p50:.4},"p99_ms":{p99:.4}}}]}},
-  "serve_open": {{"target_rps":800.0,"drivers":4,"steps_per_ingest":200,"runs":[{{"requested_conns":1000,"open_conns":1000,"requests":1600,"secs":2.0,"achieved_rps":{so1:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99:.4}}},{{"requested_conns":10000,"open_conns":9800,"requests":1600,"secs":2.1,"achieved_rps":{so2:.1},"p50_ms":{sop50:.4},"p99_ms":{sop99b:.4}}}]}},
-  "cluster": {{"shards":4,"walkers":16,"steps_per_walker":400,"batch":100,"bit_identical":true,"best_speedup":{cs:.3},"runs":[{{"threads":1,"secs":1.0,"samples_per_sec":{c1:.1}}},{{"threads":2,"secs":0.6,"samples_per_sec":{c2:.1}}}]}},
+  "serve_open": {{"target_rps":800.0,"drivers":4,"steps_per_ingest":200,"runs":[{open}]}},
+  "cluster": {{"shards":4,"walkers":16,"steps_per_walker":400,"batch":100,"bit_identical":true,"best_speedup":{cs:.3},"runs":[{{"threads":1,"secs":1.0,"samples_per_sec":{c1:.1}}},{{"threads":2,"secs":0.6,"samples_per_sec":10600.0}}]}},
   "obs": {{"walk_steps":1000000,"walk_off_secs":0.1,"walk_traced_secs":0.1,"walk_steps_per_sec_off":10000000.0,"walk_steps_per_sec_traced":10000000.0,"walk_traced_ratio":{ow:.4},"serve_rounds":400,"serve_requests":801,"serve_off_secs":0.1,"serve_traced_secs":0.1,"serve_requests_per_sec_off":8000.0,"serve_requests_per_sec_traced":8000.0,"serve_traced_ratio":{os:.4}}}
 }}
 "#,
-            sp = 1.2 * f,
-            b1 = 10000.0 * f,
-            b2 = 12000.0 * f,
-            w1 = 50000.0 * f,
-            e1 = 20000.0 * f,
-            l1 = 500000.0 * f,
-            lr = 50.0 * ratio_f,
-            lm = 10.0 * ratio_f,
-            sw = 5_000_000.0 * f,
-            sr = 2_500_000.0 * f,
-            s1 = 800.0 * f,
-            so1 = 790.0 * f,
-            so2 = 760.0 * f,
-            sop50 = 2.0 / f,
-            // Above OPEN_LOOP_LATENCY_FLOOR_MS so the degraded-report
-            // tests exercise the open-loop tail gate past its clamp.
-            sop99 = 2_400.0 / f,
-            sop99b = 4_000.0 / f,
-            cs = 1.7 * ratio_f,
-            c1 = 6400.0 * f,
-            c2 = 10600.0 * f,
-            // Latencies move inversely with throughput: a degraded report
-            // (f < 1) has *higher* p50/p99.
-            p50 = 2.0 / f,
-            p99 = 9.0 / f,
-            ow = 1.0 * ratio_f,
-            os = 0.99 * ratio_f,
+            build = build.join(",\n"),
+            walk = walk.join(",\n"),
+            open = open.join(","),
+            e1 = up("estimate/samples_per_sec@1", 20000.0),
+            l1 = up("load/edges_per_sec", 500000.0),
+            lr = up("load/speedup_vs_regen", 50.0),
+            lm = up("load/mmap_vs_heap", 10.0),
+            sw = up("snapshot/write_samples_per_sec", 5_000_000.0),
+            sr = up("snapshot/restore_samples_per_sec", 2_500_000.0),
+            s1 = up("serve/requests_per_sec@1", 800.0),
+            p50 = down("serve/p50_ms@1", 2.0),
+            p99 = down("serve/p99_ms@1", 9.0),
+            cs = up("cluster/best_speedup", 1.7),
+            c1 = up("cluster/samples_per_sec@1", 6400.0),
+            ow = up("obs/walk_traced_ratio", 1.0),
+            os = up("obs/serve_traced_ratio", 0.99),
         )
+    }
+
+    /// Every Absolute metric scaled by `f`, every Ratio metric by `ratio_f`.
+    fn report(parallelism: usize, f: f64, ratio_f: f64) -> String {
+        synthetic(parallelism, |name| {
+            let ratio = GATES
+                .iter()
+                .any(|g| g.class == MetricClass::Ratio && g.name == name);
+            if ratio {
+                ratio_f
+            } else {
+                f
+            }
+        })
     }
 
     #[test]
@@ -445,6 +447,153 @@ mod tests {
         assert!(out.warnings.is_empty(), "{:?}", out.warnings);
         assert!(out.compared >= 5, "compared {} metrics", out.compared);
         assert_eq!(out.skipped, 0);
+    }
+
+    #[test]
+    fn every_gated_metric_fails_alone_when_degraded() {
+        // The gate's reach: 23 names on one core (5 builds, 2 walks,
+        // estimate, 3 load, 2 snapshot, 3 serve, 2 × 2 serve_open,
+        // cluster, 2 obs), plus the 6 speedups on a multi-core box.
+        for (parallelism, want) in [(1, 23), (8, 29)] {
+            let base = report(parallelism, 1.0, 1.0);
+            let names = gated_names(&base);
+            assert_eq!(names.len(), want, "{names:?}");
+            for name in &names {
+                let degraded = synthetic(parallelism, |n| if n == name { 0.5 } else { 1.0 });
+                let out = check_reports(&degraded, &base).unwrap();
+                assert_eq!(out.compared, want, "{name}");
+                assert_eq!(out.failures.len(), 1, "{name}: {:?}", out.failures);
+                assert!(
+                    out.failures[0].starts_with(&format!("{name}: ")),
+                    "{name}: {:?}",
+                    out.failures
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn committed_baseline_gates_23_metrics() {
+        let base = include_str!("../../../BENCH_PR10.json");
+        let out = check_reports(base, base).unwrap();
+        assert_eq!((out.compared, out.skipped), (23, 0));
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
+        // From a 4-core box only the machine-independent ratios compare.
+        let multicore = base.replace(
+            "\"available_parallelism\": 1,",
+            "\"available_parallelism\": 4,",
+        );
+        let out = check_reports(&multicore, base).unwrap();
+        assert_eq!((out.compared, out.skipped), (4, 19));
+        let degraded = multicore
+            .replace("\"speedup_vs_regen\":22.080", "\"speedup_vs_regen\":1.0")
+            .replace("\"mmap_vs_heap\":4.451", "\"mmap_vs_heap\":1.0")
+            .replace("\"walk_traced_ratio\":0.9988", "\"walk_traced_ratio\":0.1")
+            .replace(
+                "\"serve_traced_ratio\":1.0053",
+                "\"serve_traced_ratio\":0.1",
+            );
+        let out = check_reports(&degraded, base).unwrap();
+        let mut failed: Vec<&str> = out
+            .failures
+            .iter()
+            .map(|f| f.split(':').next().unwrap())
+            .collect();
+        failed.sort_unstable();
+        assert_eq!(
+            failed,
+            [
+                "load/mmap_vs_heap",
+                "load/speedup_vs_regen",
+                "obs/serve_traced_ratio",
+                "obs/walk_traced_ratio"
+            ]
+        );
+    }
+
+    #[test]
+    fn missing_section_or_field_is_unusable_input() {
+        let full = report(1, 1.0, 1.0);
+        let no_section = full.replace("\"serve_open\":", "\"serve_open_retired\":");
+        let err = check_reports(&full, &no_section).unwrap_err();
+        assert!(err.starts_with("baseline:"), "{err}");
+        assert!(err.contains("\"serve_open\""), "{err}");
+        let err = check_reports(&no_section, &full).unwrap_err();
+        assert!(err.starts_with("current report:"), "{err}");
+        assert!(err.contains("\"serve_open\""), "{err}");
+        let no_field = full.replace("\"mmap_vs_heap\":", "\"mmap_retired\":");
+        let err = check_reports(&full, &no_field).unwrap_err();
+        assert!(
+            err.contains("load") && err.contains("\"mmap_vs_heap\""),
+            "{err}"
+        );
+    }
+
+    /// A baseline whose section or field `key` is renamed away is refused
+    /// with `key` named; with both sides complete, each of `gated` (read at
+    /// `parallelism` cores) fails alone when degraded.
+    fn required_and_gated(key: &str, parallelism: usize, gated: &[&str]) {
+        let full = report(parallelism, 1.0, 1.0);
+        let base = full.replace(&format!("\"{key}\":"), "\"retired\":");
+        let err = check_reports(&full, &base).unwrap_err();
+        assert!(
+            err.starts_with("baseline:") && err.contains(&format!("\"{key}\"")),
+            "{err}"
+        );
+        for name in gated {
+            let degraded = synthetic(parallelism, |n| if n == *name { 0.5 } else { 1.0 });
+            let out = check_reports(&degraded, &full).unwrap();
+            assert!(
+                out.failures
+                    .iter()
+                    .any(|f| f.starts_with(&format!("{name}: "))),
+                "{name}: {:?}",
+                out.failures
+            );
+        }
+    }
+
+    // The `prN_baseline_without_*` tests are named after the baselines
+    // that predate a section or field. Such a baseline is no longer
+    // accepted: it is refused with the missing key named.
+
+    #[test]
+    fn pr5_baseline_without_snapshot_section_is_accepted() {
+        let gated = ["snapshot/restore_samples_per_sec"];
+        required_and_gated("snapshot", 1, &gated);
+    }
+
+    #[test]
+    fn pr6_baseline_without_obs_section_is_accepted() {
+        required_and_gated("obs", 1, &["obs/serve_traced_ratio"]);
+    }
+
+    #[test]
+    fn pr7_baseline_without_cluster_section_is_accepted() {
+        required_and_gated("cluster", 1, &["cluster/samples_per_sec@1"]);
+        // On machines that can scale, the round-pool speedup gates too.
+        required_and_gated("cluster", 8, &["cluster/best_speedup"]);
+    }
+
+    #[test]
+    fn pr8_baseline_without_mmap_ratio_is_accepted() {
+        required_and_gated("mmap_vs_heap", 1, &["load/mmap_vs_heap"]);
+    }
+
+    #[test]
+    fn pr9_baseline_without_serve_open_section_is_accepted() {
+        let gated = ["serve_open/achieved_rps@10000", "serve_open/p99_ms@1000"];
+        required_and_gated("serve_open", 1, &gated);
+        // A baseline still carrying the retired idle-CPU object (as
+        // BENCH_PR10.json does) gates cleanly: unknown keys are ignored.
+        let current = report(1, 1.0, 1.0);
+        let base = current.replace(
+            "]},\n  \"cluster\"",
+            "],\"idle\":{\"event_conns\":1000,\"ratio\":100.0}},\n  \"cluster\"",
+        );
+        assert_ne!(base, current);
+        let out = check_reports(&current, &base).unwrap();
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]
@@ -499,7 +648,7 @@ mod tests {
         // available_parallelism), yet a collapsed internal load ratio
         // still fails the gate.
         let out = check_reports(&report(8, 0.5, 0.5), &report(1, 1.0, 1.0)).unwrap();
-        assert!(out.skipped > 0, "absolute metrics skipped");
+        assert_eq!(out.skipped, 19, "absolute metrics skipped");
         assert_eq!(
             out.compared, 4,
             "only the machine-independent ratios are compared (2 load + 2 obs)"
@@ -555,156 +704,9 @@ mod tests {
     }
 
     #[test]
-    fn pr4_baseline_without_serve_section_is_accepted() {
-        let base = {
-            let r = report(1, 1.0, 1.0);
-            let head = r.split("  \"serve\":").next().unwrap().to_string();
-            format!("{}\n}}\n", head.trim_end().trim_end_matches(','))
-        };
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn pr5_baseline_without_snapshot_section_is_accepted() {
-        // A baseline committed before the snapshot section existed must
-        // not fail the gate: the current report's extra snapshot metrics
-        // are simply not compared until the baseline is regenerated.
-        let base = report(1, 1.0, 1.0).replace("\"snapshot\":", "\"snapshot_unused\":");
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        // And the section does gate once both sides carry it: a collapsed
-        // restore rate fails.
-        let degraded = report(1, 1.0, 1.0).replace(
-            "\"restore_samples_per_sec\":2500000.0",
-            "\"restore_samples_per_sec\":100.0",
-        );
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("snapshot/restore_samples_per_sec")),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn pr6_baseline_without_obs_section_is_accepted() {
-        // A baseline committed before the obs section existed must not
-        // fail the gate; once both sides carry it, a collapsed tracing
-        // ratio (tracing suddenly costing 60% of the hot path) fails.
-        let base = report(1, 1.0, 1.0).replace("\"obs\":", "\"obs_unused\":");
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        let degraded = report(1, 1.0, 1.0).replace(
-            "\"serve_traced_ratio\":0.9900",
-            "\"serve_traced_ratio\":0.4000",
-        );
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("obs/serve_traced_ratio")),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn pr7_baseline_without_cluster_section_is_accepted() {
-        // A baseline committed before the cluster section existed must
-        // not fail the gate.
-        let base = report(1, 1.0, 1.0).replace("\"cluster\":", "\"cluster_unused\":");
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        // Once both sides carry it, a collapsed coordinator rate fails…
-        let degraded =
-            report(1, 1.0, 1.0).replace("\"samples_per_sec\":6400.0", "\"samples_per_sec\":100.0");
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("cluster/samples_per_sec")),
-            "{:?}",
-            out.failures
-        );
-        // …and on machines that can scale, a collapsed round-pool
-        // speedup gates as an internal wall-clock ratio.
-        let degraded =
-            report(8, 1.0, 1.0).replace("\"best_speedup\":1.700", "\"best_speedup\":1.000");
-        let out = check_reports(&degraded, &report(8, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("cluster/best_speedup")),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn pr8_baseline_without_mmap_ratio_is_accepted() {
-        // A baseline committed before the mapped load path existed must
-        // not fail the gate: its load section simply lacks the key.
-        let base = report(1, 1.0, 1.0).replace("\"mmap_vs_heap\":", "\"mmap_unused\":");
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        // Once both sides carry it, a collapsed mapped-vs-heap ratio
-        // fails — even across machines (it is an internal ratio).
-        let degraded =
-            report(8, 1.0, 1.0).replace("\"mmap_vs_heap\":10.000", "\"mmap_vs_heap\":2.000");
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures.iter().any(|f| f.contains("load/mmap_vs_heap")),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn pr9_baseline_without_serve_open_section_is_accepted() {
-        // A baseline committed before the open-loop section existed must
-        // not fail the gate.
-        let base = report(1, 1.0, 1.0).replace("\"serve_open\":", "\"serve_open_unused\":");
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        // Once both sides carry it, a collapsed open-loop rate or a blown
-        // tail at a specific connection count fails, named per count.
-        let degraded = report(1, 0.7, 1.0);
-        let out = check_reports(&degraded, &report(1, 1.0, 1.0)).unwrap();
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("serve_open/achieved_rps@10000")),
-            "{:?}",
-            out.failures
-        );
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("serve_open/p99_ms@1000")),
-            "{:?}",
-            out.failures
-        );
-        // A baseline still carrying the retired idle-CPU object (as
-        // BENCH_PR10.json does) gates cleanly against one without it.
-        let current = report(1, 1.0, 1.0);
-        let base = current.replace(
-            "]},\n  \"cluster\"",
-            "],\"idle\":{\"event_conns\":1000,\"ratio\":100.0}},\n  \"cluster\"",
-        );
-        assert_ne!(base, current);
-        let out = check_reports(&current, &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-    }
-
-    #[test]
     fn missing_metric_is_a_failure() {
         let base = report(1, 1.0, 1.0);
-        let current = base
-            .replace("\"walk/", "\"wxlk/")
-            .replace("{\"sampler\":\"rw\"", "{\"sampler\":\"other\"");
+        let current = base.replace("{\"sampler\":\"rw\"", "{\"sampler\":\"other\"");
         let out = check_reports(&current, &base).unwrap();
         assert!(
             out.failures.iter().any(|f| f.contains("missing")),
@@ -719,18 +721,6 @@ mod tests {
         let current = base.replace("\"quick\": true", "\"quick\": false");
         let err = check_reports(&current, &base).unwrap_err();
         assert!(err.contains("tier mismatch"), "{err}");
-    }
-
-    #[test]
-    fn pr3_baseline_without_load_section_is_accepted() {
-        let base = {
-            let r = report(1, 1.0, 1.0);
-            // Strip the load section the way a PR3-era report lacks it.
-            let head = r.split("  \"load\":").next().unwrap().to_string();
-            format!("{}\n}}\n", head.trim_end().trim_end_matches(','))
-        };
-        let out = check_reports(&report(1, 1.0, 1.0), &base).unwrap();
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]

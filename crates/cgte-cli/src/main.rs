@@ -136,9 +136,13 @@ latency with thousands of idle keep-alive connections parked (the
 thread count (the `cluster` section drives a fixed 4-shard, 16-walker
 run at every --round-threads size) and writes a machine-readable JSON
 report (default BENCH_PR10.json; see EXPERIMENTS.md for the schema).
-With --check it then compares the fresh report against a committed
-baseline and fails on a >25% per-metric regression (warns over 10%). The `obs` section pins
-the tracing-disabled overhead of the instrumentation (ratios ~1.0).
+The `obs` section pins the tracing-disabled overhead of the
+instrumentation (ratios ~1.0). A run whose bit-identity checks fail
+exits with an error and writes no report. With --check it compares the
+fresh report against a committed baseline and fails on a >25%
+per-metric regression (warns over 10%); the baseline must carry every
+gated section, and --out must name a different file (the default --out
+is BENCH_PR10.json, so pass --out when checking against it).
 ";
 
 fn main() -> ExitCode {
@@ -871,10 +875,30 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             other => return Err(format!("unknown `bench` argument {other:?}\n{USAGE}").into()),
         }
     }
+    // The baseline is read before the harness writes `--out`: were they
+    // one file, the gate would compare the fresh report with itself.
+    let baseline = match baseline {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read baseline {path:?}: {e}"))?;
+            let canonical = (
+                std::path::Path::new(&path).canonicalize(),
+                opts.out.canonicalize(),
+            );
+            if matches!(canonical, (Ok(a), Ok(b)) if a == b) {
+                return Err(format!(
+                    "--out {:?} and --check {path:?} name the same file: the run would \
+                     overwrite its own baseline; write the report elsewhere",
+                    opts.out
+                )
+                .into());
+            }
+            Some((path, text))
+        }
+        None => None,
+    };
     let report = cgte_bench::harness::run_bench(&opts)?;
-    if let Some(path) = baseline {
-        let baseline_text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read baseline {path:?}: {e}"))?;
+    if let Some((path, baseline_text)) = baseline {
         let outcome = cgte_bench::check::check_reports(&report, &baseline_text)?;
         for w in &outcome.warnings {
             eprintln!("bench-check WARN: {w}");

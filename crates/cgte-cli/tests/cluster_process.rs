@@ -9,10 +9,10 @@
 #![cfg(unix)]
 
 use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
+use cgte_graph::store::write_bundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -31,15 +31,9 @@ fn write_planted(dir: &Path) {
         alpha: 0.3,
     };
     let pg = planted_partition(&cfg, &mut rng).unwrap();
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(&pg.graph) {
-        c.push(s);
-    }
-    c.push(partition_section("main", &pg.partition));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join("planted.cgteg")).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
+    let mut bytes = Vec::new();
+    write_bundle(&mut bytes, &pg.graph, Some(&pg.partition)).unwrap();
+    std::fs::write(dir.join("planted.cgteg"), bytes).unwrap();
 }
 
 /// A child process killed on drop, so a failing assert never leaks

@@ -243,23 +243,15 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgte_graph::store::{graph_sections, partition_section, Container, Section};
+    use cgte_graph::store::write_bundle;
     use cgte_graph::GraphBuilder;
-    use std::fs::File;
-    use std::io::{BufWriter, Write as _};
 
     fn write_demo(dir: &std::path::Path, name: &str) {
         let g = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let p = Partition::from_assignments(vec![0, 0, 1, 1], 2).unwrap();
-        let mut c = Container::new();
-        c.push(Section::string("meta.kind", "graph"));
-        for s in graph_sections(&g) {
-            c.push(s);
-        }
-        c.push(partition_section("main", &p));
-        let mut w = BufWriter::new(File::create(dir.join(format!("{name}.cgteg"))).unwrap());
-        c.write_to(&mut w).unwrap();
-        w.flush().unwrap();
+        let mut bytes = Vec::new();
+        write_bundle(&mut bytes, &g, Some(&p)).unwrap();
+        std::fs::write(dir.join(format!("{name}.cgteg")), bytes).unwrap();
     }
 
     #[test]

@@ -4,16 +4,13 @@
 //! across the handoff explicitly (`span_with_parent`). This test lives in
 //! its own integration binary because the tracer is process-global.
 
-use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
-use cgte_graph::{Graph, Partition};
+mod common;
+
 use cgte_sampling::ObservationContext;
 use cgte_serve::cluster::{run_cluster, ClusterConfig, RetryPolicy};
 use cgte_serve::{ServeConfig, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use common::{planted, temp_store, write_graph};
 use std::collections::BTreeSet;
-use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,28 +25,9 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn walker_spans_parent_to_their_round_across_the_pool() {
-    let dir = std::env::temp_dir().join(format!("cgte-cluster-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
-    let pg = planted_partition(
-        &PlantedConfig {
-            category_sizes: vec![40, 80, 160],
-            k: 6,
-            alpha: 0.3,
-        },
-        &mut rng,
-    )
-    .unwrap();
-    let (g, p): (Graph, Partition) = (pg.graph, pg.partition);
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(&g) {
-        c.push(s);
-    }
-    c.push(partition_section("main", &p));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join("planted.cgteg")).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
+    let dir = temp_store("trace");
+    let (g, p) = planted();
+    write_graph(&dir, "planted", &g, &p);
 
     let server = Server::bind(&ServeConfig {
         cache_dir: dir.clone(),

@@ -3,47 +3,16 @@
 //! (408), the request-body cap (413), request framing that answers one
 //! request exactly once, and the connection-health metric families.
 
-use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
-use cgte_graph::{Graph, Partition};
+mod common;
+
 use cgte_scenarios::artifact::{parse_json, Json};
 use cgte_serve::client::Client;
 use cgte_serve::{ServeConfig, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::io::{BufWriter, Read, Write};
+use common::{planted_sized, temp_store, write_graph};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
-
-fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cgte-serve-ev-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_graph(dir: &Path, name: &str, g: &Graph, p: &Partition) {
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(g) {
-        c.push(s);
-    }
-    c.push(partition_section("main", p));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join(format!("{name}.cgteg"))).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
-}
-
-fn planted() -> (Graph, Partition) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let cfg = PlantedConfig {
-        category_sizes: vec![30, 60, 90],
-        k: 5,
-        alpha: 0.3,
-    };
-    let pg = planted_partition(&cfg, &mut rng).unwrap();
-    (pg.graph, pg.partition)
-}
 
 fn config(dir: &Path) -> ServeConfig {
     ServeConfig {
@@ -90,7 +59,7 @@ fn metric_value(metrics: &str, family: &str) -> f64 {
 #[test]
 fn event_engine_serves_fresh_requests_past_many_idle_connections() {
     let dir = temp_store("idle");
-    let (g, p) = planted();
+    let (g, p) = planted_sized(&[30, 60, 90], 5);
     write_graph(&dir, "planted", &g, &p);
     let server = Server::bind(&config(&dir)).unwrap();
     let addr = server.addr();
@@ -138,7 +107,7 @@ fn event_engine_serves_fresh_requests_past_many_idle_connections() {
 #[test]
 fn stalled_requests_time_out_with_408_on_both_engines() {
     let dir = temp_store("slow");
-    let (g, p) = planted();
+    let (g, p) = planted_sized(&[30, 60, 90], 5);
     write_graph(&dir, "planted", &g, &p);
     let server = Server::bind(&ServeConfig {
         request_timeout_ms: 300,
@@ -197,7 +166,7 @@ fn stalled_requests_time_out_with_408_on_both_engines() {
 #[test]
 fn oversized_bodies_are_rejected_with_413_on_both_engines() {
     let dir = temp_store("cap");
-    let (g, p) = planted();
+    let (g, p) = planted_sized(&[30, 60, 90], 5);
     write_graph(&dir, "planted", &g, &p);
     let server = Server::bind(&ServeConfig {
         max_body_bytes: 1024,
@@ -262,7 +231,7 @@ fn conflicting_content_lengths_are_refused_with_a_single_400() {
 #[test]
 fn metrics_exposes_connection_health_families() {
     let dir = temp_store("fam");
-    let (g, p) = planted();
+    let (g, p) = planted_sized(&[30, 60, 90], 5);
     write_graph(&dir, "planted", &g, &p);
     let server = Server::bind(&config(&dir)).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();

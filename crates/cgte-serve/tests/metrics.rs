@@ -8,45 +8,12 @@
 //! counter. The per-session heap gauge reads the open sessions' stream
 //! memory and drops back when they close.
 
-use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
-use cgte_graph::{Graph, Partition};
+mod common;
+
 use cgte_obs::promtext;
 use cgte_serve::client::Client;
 use cgte_serve::{ServeConfig, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
-
-fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cgte-metrics-it-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_graph(dir: &Path, name: &str, g: &Graph, p: &Partition) {
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(g) {
-        c.push(s);
-    }
-    c.push(partition_section("main", p));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join(format!("{name}.cgteg"))).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
-}
-
-fn planted() -> (Graph, Partition) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let cfg = PlantedConfig {
-        category_sizes: vec![40, 80, 160],
-        k: 6,
-        alpha: 0.3,
-    };
-    let pg = planted_partition(&cfg, &mut rng).unwrap();
-    (pg.graph, pg.partition)
-}
+use common::{planted, temp_store, write_graph};
 
 /// Sums one endpoint-labelled counter family by label.
 fn endpoint_counts(exp: &promtext::Exposition, family: &str) -> Vec<(String, f64)> {

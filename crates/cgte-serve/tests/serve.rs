@@ -6,63 +6,22 @@
 //! server returned, down to the last ulp (shortest round-trip JSON
 //! floats).
 
+mod common;
+
 use cgte_core::{estimate_stream, StarSizeOptions};
 use cgte_eval::{nrmse_from_errors, run_experiment, ExperimentConfig, Target};
-use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
-use cgte_graph::{Graph, NodeId, Partition};
+use cgte_graph::{NodeId, Partition};
 use cgte_sampling::{
     AnySampler, DesignKind, NodeSampler, ObservationContext, ObservationStream, RandomWalk,
 };
 use cgte_scenarios::artifact::{parse_json, Json};
 use cgte_serve::client::Client;
 use cgte_serve::{ServeConfig, Server};
+use common::{planted, temp_store, write_graph, RequestOk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 
 const SEED: u64 = 0x5EED;
-
-/// Unwrapping sugar over the shared client for test brevity.
-trait RequestOk {
-    fn request_ok(&mut self, method: &str, path: &str, body: &str) -> (u16, String);
-}
-
-impl RequestOk for Client {
-    fn request_ok(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        self.request(method, path, body).unwrap()
-    }
-}
-
-fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cgte-serve-it-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_graph(dir: &Path, name: &str, g: &Graph, p: &Partition) {
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(g) {
-        c.push(s);
-    }
-    c.push(partition_section("main", p));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join(format!("{name}.cgteg"))).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
-}
-
-fn planted() -> (Graph, Partition) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let cfg = PlantedConfig {
-        category_sizes: vec![40, 80, 160],
-        k: 6,
-        alpha: 0.3,
-    };
-    let pg = planted_partition(&cfg, &mut rng).unwrap();
-    (pg.graph, pg.partition)
-}
 
 fn f64_at<'a>(v: &'a Json, path: &[&str]) -> &'a Json {
     let mut cur = v;

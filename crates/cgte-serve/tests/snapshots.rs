@@ -6,59 +6,19 @@
 //! the `--max-sessions` 429 backpressure path (with `Retry-After`),
 //! and the `/metrics` Prometheus exposition.
 
-use cgte_graph::generators::{planted_partition, PlantedConfig};
-use cgte_graph::store::{graph_sections, partition_section, Container, Section};
-use cgte_graph::{Graph, Partition};
+mod common;
+
+use cgte_graph::store::Section;
 use cgte_sampling::snapshot;
 use cgte_scenarios::artifact::{parse_json, Json};
 use cgte_serve::client::Client;
 use cgte_serve::{ServeConfig, Server};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::io::{BufReader, BufWriter, Read, Write};
+use common::{planted, temp_store, write_graph, RequestOk};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const SEED: u64 = 0x5EED;
-
-trait RequestOk {
-    fn request_ok(&mut self, method: &str, path: &str, body: &str) -> (u16, String);
-}
-
-impl RequestOk for Client {
-    fn request_ok(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        self.request(method, path, body).unwrap()
-    }
-}
-
-fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cgte-snap-it-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_graph(dir: &Path, name: &str, g: &Graph, p: &Partition) {
-    let mut c = Container::new();
-    c.push(Section::string("meta.kind", "graph"));
-    for s in graph_sections(g) {
-        c.push(s);
-    }
-    c.push(partition_section("main", p));
-    let mut w = BufWriter::new(std::fs::File::create(dir.join(format!("{name}.cgteg"))).unwrap());
-    c.write_to(&mut w).unwrap();
-    w.flush().unwrap();
-}
-
-fn planted() -> (Graph, Partition) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let cfg = PlantedConfig {
-        category_sizes: vec![40, 80, 160],
-        k: 6,
-        alpha: 0.3,
-    };
-    let pg = planted_partition(&cfg, &mut rng).unwrap();
-    (pg.graph, pg.partition)
-}
 
 fn boot(dir: &Path, cfg: impl FnOnce(ServeConfig) -> ServeConfig) -> Server {
     Server::bind(&cfg(ServeConfig {
