@@ -798,23 +798,32 @@ impl StarAccumulator {
 /// log ([`InducedAccumulator::merge`]); here replay is not merely an
 /// FP-exactness trick but semantically required — an edge between a node
 /// in shard `a` and a node in shard `b` is visible to neither shard alone,
-/// and only re-pushing `b`'s samples against `a`'s `node_mass` recovers
+/// and only re-pushing `b`'s samples against `a`'s per-node masses recovers
 /// the cross-shard pair contributions of `observe(a ++ b)`.
 ///
-/// **Membership filter.** Most neighbors of a sampled node are not in the
-/// sample, so `push` first tests an exact membership bitset over node ids
-/// (one bit per graph node, `n/8` bytes: 125 KB at 1M nodes, L2-resident)
-/// and probes `node_mass` only on a set bit. A miss costs one load and no
-/// hash. The bitset is sized from the context's graph on first push and
-/// grows if the accumulator is later pushed against a larger graph.
-/// `node_mass` keeps std's keyed SipHash: node ids arrive from clients
-/// (`cgte-serve` ingests and `.cgtes` restores), and an unkeyed hash would
-/// let a crafted id set build long probe chains. Per accumulator memory is
-/// therefore `n/8` bytes plus `O(distinct sampled nodes)` for the map and
-/// 16 bytes per sample for the log. [`InducedAccumulator::reset`] clears
+/// **Membership filter and slot pool.** Most neighbors of a sampled node
+/// are not in the sample, so `push` first tests an exact membership bitset
+/// over node ids (one bit per graph node, `n/8` bytes: 125 KB at 1M nodes,
+/// L2-resident). A miss costs one load. Behind the bitset, each 64-node
+/// word owns a chunk of a slot pool that holds its sampled nodes' running
+/// masses and categories in bit order, so a hit's slot is the chunk start
+/// plus the popcount of the word's lower bits (a per-word rank directory,
+/// Jacobson 1989). No hash is computed on the push path, so a client's
+/// choice of node ids cannot build probe chains. A new member is shifted
+/// into its word's chunk; a full chunk moves to one of twice the capacity
+/// (1 up to 64 slots), taken from that class's free list or the end of
+/// the pool, and the old chunk goes onto its own class's free list. A
+/// chunk's capacity is not stored: it is the word's popcount rounded up to
+/// a power of two. A push therefore costs `O(deg + 64)` for any id set.
+/// Per accumulator memory is `n/8` bytes for the bitset, 4 bytes per 64
+/// nodes for the chunk directory, 12 bytes per pool slot (under 4 slots
+/// per distinct sampled node, free chunks included) and 16 bytes per
+/// sample for the log. Both the bitset and the directory are sized from the
+/// context's graph on first push and grow if the accumulator is later
+/// pushed against a larger graph. [`InducedAccumulator::reset`] clears
 /// only the bitset words its log touched, in `O(len)` rather than
 /// `O(n/64)`, so scratch reuse across replications stays independent of
-/// graph size.
+/// graph size; a cleared word's stale directory entry is never read.
 #[derive(Debug, Clone)]
 pub struct InducedAccumulator {
     num_categories: usize,
@@ -825,18 +834,31 @@ pub struct InducedAccumulator {
     per_cat_mass: Vec<f64>,
     /// `w⁻¹(S)`.
     inv_mass: f64,
-    /// Running `Σ 1/w` over the occurrences of each sampled node.
-    node_mass: HashMap<NodeId, f64>,
-    /// Bit `v` is set iff `node_mass` has an entry for `v` (so iff `v` is
-    /// in the log).
+    /// Bit `v` is set iff `v` is in the log.
     members: Vec<u64>,
+    /// The pool slot where each bitset word's chunk starts; read only for a
+    /// word with a member. The chunk's first `popcount(word)` slots are
+    /// live, in bit order, and its capacity is that count rounded up to a
+    /// power of two.
+    chunk_start: Vec<u32>,
+    /// Running `Σ 1/w` over the occurrences of each sampled node, by slot.
+    mass: Vec<f64>,
+    /// The category of each sampled node, by slot, as the partition gave
+    /// it when the node was first pushed.
+    cat: Vec<CategoryId>,
+    /// Released chunk starts per capacity class (`cap == 1 << class`).
+    free: [Vec<u32>; CHUNK_CLASSES],
     /// Eq. (8)/(15) numerators per unordered category pair.
     weight_num: CategoryMatrix,
 }
 
-/// Equality of the logical state only: `node_mass` and `members` are
-/// functions of the log, and the bitset's length depends on which graphs
-/// the accumulator has seen, so a fresh accumulator equals a reset one.
+/// Chunk capacities 1, 2, 4, …, 64: one class per power of two up to the
+/// 64 nodes of a bitset word.
+const CHUNK_CLASSES: usize = 7;
+
+/// Equality of the logical state only: the bitset and the slot pool are
+/// functions of the log, and their layout depends on which graphs the
+/// accumulator has seen, so a fresh accumulator equals a reset one.
 impl PartialEq for InducedAccumulator {
     fn eq(&self, other: &Self) -> bool {
         self.num_categories == other.num_categories
@@ -857,8 +879,11 @@ impl InducedAccumulator {
             log: Vec::new(),
             per_cat_mass: vec![0.0; num_categories],
             inv_mass: 0.0,
-            node_mass: HashMap::new(),
             members: Vec::new(),
+            chunk_start: Vec::new(),
+            mass: Vec::new(),
+            cat: Vec::new(),
+            free: Default::default(),
             weight_num: CategoryMatrix::zeros(num_categories),
         }
     }
@@ -873,17 +898,23 @@ impl InducedAccumulator {
         self.log.clear();
         self.per_cat_mass.fill(0.0);
         self.inv_mass = 0.0;
-        self.node_mass.clear();
+        self.mass.clear();
+        self.cat.clear();
+        self.free.iter_mut().for_each(Vec::clear);
         self.weight_num.reset();
     }
 
-    /// Heap bytes held: the log, the membership bitset, the `node_mass`
-    /// table (by capacity, one control byte per slot) and the `O(C²)` sums.
+    /// Heap bytes held: the log, the membership bitset, the chunk
+    /// directory, the slot pool with its free lists, and the `O(C²)` sums.
     pub fn heap_bytes(&self) -> usize {
-        self.log.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + self.members.capacity() * std::mem::size_of::<u64>()
-            + self.node_mass.capacity() * (std::mem::size_of::<(NodeId, f64)>() + 1)
-            + self.per_cat_mass.capacity() * std::mem::size_of::<f64>()
+        use std::mem::size_of;
+        self.log.capacity() * size_of::<(NodeId, f64)>()
+            + self.members.capacity() * size_of::<u64>()
+            + self.chunk_start.capacity() * size_of::<u32>()
+            + self.mass.capacity() * size_of::<f64>()
+            + self.cat.capacity() * size_of::<CategoryId>()
+            + self.free.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
+            + self.per_cat_mass.capacity() * size_of::<f64>()
             + self.weight_num.heap_bytes()
     }
 
@@ -930,28 +961,83 @@ impl InducedAccumulator {
         let words = ctx.graph().num_nodes().div_ceil(64);
         if self.members.len() < words {
             self.members.resize(words, 0);
+            self.chunk_start.resize(words, 0);
         }
         // Neighbors are scanned in ascending node-id order; the running
         // mass of each adjacent sampled node aggregates all its earlier
         // occurrences, matching the grouped summation order of the
         // from-scratch `induced_weights_all` exactly. A clear bit means
-        // `u` is not in the sample, so the map is never probed for it.
+        // `u` is not in the sample; a set bit's rank in its word locates
+        // `u`'s slot, which also holds its category.
         for &u in ctx.graph().neighbors(v) {
-            if self.members[u as usize / 64] & (1 << (u % 64)) == 0 {
+            let i = u as usize / 64;
+            let word = self.members[i];
+            let bit = 1 << (u % 64);
+            if word & bit == 0 {
                 continue;
             }
-            let m = self.node_mass[&u];
-            let cu = ctx.partition().category_of(u);
+            let slot = self.chunk_start[i] as usize + (word & (bit - 1)).count_ones() as usize;
+            let cu = self.cat[slot];
             if cu != c {
-                self.weight_num.add(c, cu, w_inv * m);
+                self.weight_num.add(c, cu, w_inv * self.mass[slot]);
             }
         }
-        self.members[v as usize / 64] |= 1 << (v % 64);
-        *self.node_mass.entry(v).or_insert(0.0) += w_inv;
+        let slot = self.slot_or_insert(v, c);
+        self.mass[slot] += w_inv;
         self.per_cat_mass[c as usize] += w_inv;
         self.inv_mass += w_inv;
         self.log.push((v, w));
         self.len += 1;
+    }
+
+    /// The pool slot of `v`, first inserting `v` with zero mass and
+    /// category `c` if it is not a member: at most 64 slots shift or move.
+    fn slot_or_insert(&mut self, v: NodeId, c: CategoryId) -> usize {
+        let i = v as usize / 64;
+        let word = self.members[i];
+        let bit = 1 << (v % 64);
+        let rank = (word & (bit - 1)).count_ones() as usize;
+        if word & bit != 0 {
+            return self.chunk_start[i] as usize + rank;
+        }
+        let live = word.count_ones() as usize;
+        if live == 0 || live.is_power_of_two() {
+            self.grow(i, live);
+        }
+        let at = self.chunk_start[i] as usize + rank;
+        let end = self.chunk_start[i] as usize + live;
+        self.mass.copy_within(at..end, at + 1);
+        self.cat.copy_within(at..end, at + 1);
+        self.mass[at] = 0.0;
+        self.cat[at] = c;
+        self.members[i] = word | bit;
+        at
+    }
+
+    /// Moves word `i`'s `live` slots, which fill their chunk, into a chunk
+    /// of twice the capacity (one slot for a word without a chunk) and
+    /// releases the old chunk to its class's free list.
+    fn grow(&mut self, i: usize, live: usize) {
+        let cap = (2 * live).max(1);
+        let class = cap.trailing_zeros() as usize;
+        let start = match self.free[class].pop() {
+            Some(start) => start,
+            None => {
+                let end = self.mass.len();
+                self.mass.resize(end + cap, 0.0);
+                self.cat.resize(end + cap, 0);
+                u32::try_from(end).expect("induced slot pool exceeds u32 indices")
+            }
+        };
+        // A word without members has no chunk to move; its directory entry
+        // may be stale from before a reset.
+        if live > 0 {
+            let from = self.chunk_start[i] as usize;
+            self.mass.copy_within(from..from + live, start as usize);
+            self.cat.copy_within(from..from + live, start as usize);
+            self.free[class - 1].push(from as u32);
+        }
+        self.chunk_start[i] = start;
     }
 
     /// Number of pushed samples.

@@ -77,8 +77,9 @@ impl ObservationStream {
         self.induced.reset();
     }
 
-    /// Heap bytes held by both accumulators (both logs, the induced
-    /// membership bitset and `node_mass` table, the `O(C²)` sums).
+    /// Heap bytes held by both accumulators: both logs, the induced
+    /// membership bitset, chunk directory and slot pool (under 4 slots of
+    /// 12 bytes per distinct sampled node), and the `O(C²)` sums.
     pub fn heap_bytes(&self) -> usize {
         self.star.heap_bytes() + self.induced.heap_bytes()
     }

@@ -9,7 +9,8 @@
 //! floating-point reordering (checked approximately, documented as such),
 //! range-chunked `NeighborCategoryIndex` builds recombining to the
 //! monolithic index, and an induced accumulator reused across `reset()`
-//! and graphs of different sizes staying equal to a fresh one.
+//! and graphs of different sizes staying equal to a fresh one, including
+//! push orders that fill, grow and recycle its per-word slot chunks.
 
 use cgte_core::edge_weight::{induced_weights_acc, induced_weights_all};
 use cgte_core::{estimate_stream, StarSizeOptions};
@@ -82,14 +83,14 @@ fn check_merge_law(g: &Graph, p: &Partition, nodes: &[NodeId], design: DesignKin
     assert_eq!(a, b, "snapshot after merge differs at split {split}");
 }
 
-/// A G(n, 1/4) graph over `n` nodes with three categories, some of them
-/// possibly empty.
-fn random_graph(n: usize, seed: u64) -> (Graph, Partition) {
+/// A G(n, quarters/4) graph over `n` nodes with three categories, some of
+/// them possibly empty.
+fn random_graph(n: usize, quarters: i32, seed: u64) -> (Graph, Partition) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::new();
     for u in 0..n as NodeId {
         for v in u + 1..n as NodeId {
-            if rng.gen_range(0..4) == 0 {
+            if rng.gen_range(0..4) < quarters {
                 edges.push((u, v));
             }
         }
@@ -261,7 +262,7 @@ proptest! {
         for (k, n) in [65usize, 1, 200, 63].into_iter().enumerate() {
             reused.reset();
             prop_assert_eq!(&reused, &InducedAccumulator::new(3));
-            let (g, p) = random_graph(n, seed * 4 + k as u64);
+            let (g, p) = random_graph(n, 1, seed * 4 + k as u64);
             let ctx = ObservationContext::new(&g, &p);
             let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
             let nodes: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n as NodeId)).collect();
@@ -277,6 +278,96 @@ proptest! {
                     matrix_bits(&induced_weights_acc(&reused)),
                     matrix_bits(&induced_weights_all(&sample)),
                     "n {} prefix {}", n, i + 1
+                );
+            }
+        }
+    }
+}
+
+/// A push order over `0..n` that exercises the induced accumulator's
+/// slot chunks: every id, so a full word reaches 64 members.
+fn chunk_order(n: usize, order: u32, rng: &mut StdRng) -> Vec<NodeId> {
+    let n = n as NodeId;
+    match order {
+        // Descending ids: every insert lands at the front of its chunk
+        // and shifts all live slots.
+        0 => (0..n).rev().collect(),
+        // Words interleaved, bits in a stride-37 permutation: chunks of
+        // different words grow in turn and recycle each other's chunks.
+        1 => (0..64)
+            .flat_map(|k| (0..n.div_ceil(64)).map(move |w| w * 64 + (k * 37) % 64))
+            .filter(|&v| v < n)
+            .collect(),
+        // Ascending ids with every node repeated right away and a random
+        // tail of revisits.
+        _ => (0..n)
+            .flat_map(|v| [v, v])
+            .chain((0..n).map(|_| rng.gen_range(0..n)))
+            .collect(),
+    }
+}
+
+/// Every push order × every reset cut, deterministically: the chunk
+/// layout depends only on the order of pushed ids, so random cases would
+/// only repeat these sequences on other edges.
+#[test]
+fn induced_slot_chunks_grow_and_recycle_exactly() {
+    let graphs: Vec<_> = [64usize, 65, 130]
+        .into_iter()
+        .map(|n| random_graph(n, 3, n as u64))
+        .collect();
+    for order in 0..3 {
+        for cut in 0..=128 {
+            // One accumulator reused across dense graphs of growing size:
+            // each graph's order is cut by a reset mid-stream, then pushed
+            // whole; then reset and refilled with the same ids, which must
+            // not grow the heap.
+            let mut reused = InducedAccumulator::new(3);
+            for (g, p) in &graphs {
+                let n = g.num_nodes();
+                let ctx = ObservationContext::new(g, p);
+                let nodes = chunk_order(n, order, &mut StdRng::seed_from_u64(cut as u64));
+                let w: Vec<f64> = nodes.iter().map(|&v| g.degree(v) as f64 + 0.5).collect();
+                let at = format!("n {n} order {order} cut {cut}");
+
+                reused.reset();
+                for i in 0..cut.min(nodes.len()) {
+                    reused.push(&ctx, nodes[i], w[i]);
+                }
+                reused.reset();
+                assert_eq!(reused, InducedAccumulator::new(3), "{at}");
+
+                let mut fresh = InducedAccumulator::new(3);
+                for i in 0..nodes.len() {
+                    reused.push(&ctx, nodes[i], w[i]);
+                    fresh.push(&ctx, nodes[i], w[i]);
+                    assert_eq!(reused, fresh, "{at} prefix {}", i + 1);
+                    if (i + 1) % 61 == 0 || i + 1 == nodes.len() {
+                        let sample = InducedSample::observe_with_weights(
+                            g,
+                            p,
+                            &nodes[..=i],
+                            w[..=i].to_vec(),
+                        );
+                        assert_eq!(
+                            matrix_bits(&induced_weights_acc(&reused)),
+                            matrix_bits(&induced_weights_all(&sample)),
+                            "{at} prefix {}",
+                            i + 1
+                        );
+                    }
+                }
+
+                let heap = reused.heap_bytes();
+                reused.reset();
+                for i in 0..nodes.len() {
+                    reused.push(&ctx, nodes[i], w[i]);
+                }
+                assert_eq!(reused, fresh, "{at}");
+                assert!(
+                    reused.heap_bytes() <= heap,
+                    "refill grew the heap: {} > {heap} ({at})",
+                    reused.heap_bytes()
                 );
             }
         }

@@ -793,6 +793,7 @@ pub fn run_cluster_with(
     loop_result?;
 
     // Merge completed walkers' logs, in walker order, locally.
+    let mut merge_span = cgte_obs::span(cgte_obs::LEVEL_COARSE, "cluster.merge");
     let mut merged = ObservationStream::new(ctx.num_categories());
     let mut completed = 0usize;
     for (i, w) in walkers.iter().enumerate() {
@@ -814,6 +815,9 @@ pub fn run_cluster_with(
         merged.merge(ctx, &stream);
         completed += 1;
     }
+    merge_span.field_u64("walkers", completed as u64);
+    merge_span.field_u64("samples", merged.len() as u64);
+    drop(merge_span);
     let shards_alive = clients.iter().filter(|c| !c.is_open()).count();
     let retries = clients.iter().map(RetryClient::retries_spent).sum::<u64>()
         + pool_retries.load(Ordering::Relaxed);
@@ -1107,7 +1111,9 @@ fn open_or_restore(
             let session = json_str(&body, "session").ok_or_else(|| {
                 ClusterError::Shard("session response carries no \"session\" id".to_string())
             })?;
-            let len = json_u64(&body, "len").unwrap_or(0) as usize;
+            let len = json_u64(&body, "len").ok_or_else(|| {
+                ClusterError::Shard("session response carries no \"len\"".to_string())
+            })? as usize;
             let expect = w.checkpoint.as_ref().map_or(0, |(at, _)| *at);
             if len != expect {
                 return Err(ClusterError::Shard(format!(
@@ -1202,15 +1208,19 @@ fn ingest_batch(
 /// Downloads and validates a session's current `.cgtes` state; `None` on
 /// transport failure (shard presumed dead). An *invalid* snapshot from a
 /// live shard is fatal — checksums passed HTTP but not the format, which
-/// means a bug, not weather.
+/// means a bug, not weather. Traced as one `cluster.checkpoint` span,
+/// download and validation replay included.
 fn fetch_checkpoint(
     client: &mut RetryClient,
     session: &str,
     expect_len: usize,
     ctx: &ObservationContext<'_>,
 ) -> Result<Option<Vec<u8>>, ClusterError> {
+    let mut span = cgte_obs::span(cgte_obs::LEVEL_DETAIL, "cluster.checkpoint");
+    span.field_u64("len", expect_len as u64);
     match client.get(&format!("/sessions/{session}/snapshot")) {
         Ok((200, bytes)) => {
+            span.field_u64("bytes", bytes.len() as u64);
             let container = snapshot::read_snapshot(&bytes[..])
                 .map_err(|e| ClusterError::Shard(format!("downloaded snapshot: {e}")))?;
             let stream = snapshot::stream_from_container(&container, ctx)
@@ -1367,5 +1377,53 @@ mod tests {
         a.backoff(2);
         assert_eq!(a.retries_spent(), 2);
         assert_eq!(b.retries_spent(), 0, "retries bled across clients");
+    }
+
+    /// Answers one request on a fresh local port with `200` and `body`,
+    /// then hangs up.
+    fn one_shot_responder(body: &'static str) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            http::read_request(&mut BufReader::new(&stream))
+                .unwrap()
+                .expect("a request");
+            http::write_json_response(&mut &stream, 200, body, false).unwrap();
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn session_answer_without_len_is_a_shard_error() {
+        let cfg = ClusterConfig::new("g");
+        for checkpoint in [None, Some((0, b"snapshot".to_vec()))] {
+            for (body, want) in [
+                (
+                    r#"{"session":"s0"}"#,
+                    Err(ClusterError::Shard(
+                        "session response carries no \"len\"".to_string(),
+                    )),
+                ),
+                (
+                    r#"{"session":"s0","len":0}"#,
+                    Ok(Some(("s0".to_string(), 0))),
+                ),
+            ] {
+                let (addr, responder) = one_shot_responder(body);
+                let mut client = RetryClient::new(addr, RetryPolicy::default(), 1);
+                let mut w = Walker {
+                    seed: 1,
+                    shard: 0,
+                    session: None,
+                    done: 0,
+                    checkpoint: checkpoint.clone(),
+                    complete: false,
+                    failed: false,
+                };
+                assert_eq!(open_or_restore(&cfg, &mut client, &mut w), want, "{body}");
+                responder.join().unwrap();
+            }
+        }
     }
 }

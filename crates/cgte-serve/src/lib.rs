@@ -646,7 +646,7 @@ fn metrics(state: &ServerState) -> String {
     emit(
         "cgte_serve_session_heap_bytes",
         "gauge",
-        "Heap bytes of open sessions' observation streams (push logs, membership bitsets, node-mass tables), as of each session's last ingest.",
+        "Heap bytes of open sessions' observation streams (push logs, membership bitsets, induced slot pools), as of each session's last ingest.",
         heap_bytes.to_string(),
     );
     emit(
@@ -1203,9 +1203,9 @@ fn restore_session(state: &ServerState, body: &[u8]) -> Result<String, ServeErro
     );
     insert_session(state, id, session)?;
     state.snapshots_restored.fetch_add(1, Ordering::Relaxed);
-    // `opened_json` ends with '}': splice the restore facts in.
+    // `opened_json` ends with '}': splice the restore flag in.
     Ok(format!(
-        "{},\"restored\":true,\"len\":{len}}}",
+        "{},\"restored\":true}}",
         &opened[..opened.len() - 1]
     ))
 }

@@ -484,10 +484,12 @@ impl Session {
         )
     }
 
-    /// The `POST /sessions` response body.
+    /// The `POST /sessions` response body. It carries the session's
+    /// sample count, so a coordinator can check an open (0) or a restore
+    /// (the snapshot's length) against what it expects.
     pub fn opened_json(&self) -> String {
         format!(
-            "{{\"session\":{},\"graph\":{},\"partition\":{},\"sampler\":{},\"design\":{},\"num_categories\":{},\"population\":{}}}",
+            "{{\"session\":{},\"graph\":{},\"partition\":{},\"sampler\":{},\"design\":{},\"num_categories\":{},\"population\":{},\"len\":{}}}",
             fmt_str(&self.id),
             fmt_str(&self.graph.name),
             fmt_str(&self.graph.partitions[self.part_idx].0),
@@ -495,6 +497,7 @@ impl Session {
             fmt_str(self.design_name()),
             self.num_categories(),
             fmt_f64(self.population()),
+            self.len(),
         )
     }
 

@@ -1,8 +1,10 @@
 //! Span wiring of the parallel coordinator: `cluster.walker` spans are
 //! executed on pool worker threads, where thread-local span context does
 //! not follow, so the coordinator threads the `cluster.round` span id
-//! across the handoff explicitly (`span_with_parent`). This test lives in
-//! its own integration binary because the tracer is process-global.
+//! across the handoff explicitly (`span_with_parent`). Checkpoint
+//! downloads nest under the walker trip that made them, and the final
+//! merge is one span per run. This test lives in its own integration
+//! binary because the tracer is process-global.
 
 mod common;
 
@@ -64,10 +66,12 @@ fn walker_spans_parent_to_their_round_across_the_pool() {
         .filter(|l| l.contains("\"name\":\"cluster.round\""))
         .filter_map(|l| field_u64(l, "id"))
         .collect();
-    let walkers: Vec<&String> = lines
-        .iter()
-        .filter(|l| l.contains("\"name\":\"cluster.walker\""))
-        .collect();
+    let named = |name: &str| -> Vec<&String> {
+        let tag = format!("\"name\":\"{name}\"");
+        lines.iter().filter(|l| l.contains(&tag)).collect()
+    };
+    let walkers = named("cluster.walker");
+    let walker_ids: BTreeSet<u64> = walkers.iter().filter_map(|l| field_u64(l, "id")).collect();
     assert_eq!(round_ids.len(), run.rounds, "one span per round");
     // 4 walkers × 3 rounds, every trip executed on a pool thread.
     assert_eq!(walkers.len(), cfg.walkers * run.rounds, "{walkers:?}");
@@ -78,6 +82,22 @@ fn walker_spans_parent_to_their_round_across_the_pool() {
             "walker span not parented to a round span: {line}"
         );
     }
+    // snapshot_every = 1: every walker trip downloads a checkpoint, inside
+    // its own walker span on the pool thread.
+    let checkpoints = named("cluster.checkpoint");
+    assert_eq!(
+        checkpoints.len(),
+        cfg.walkers * run.rounds,
+        "{checkpoints:?}"
+    );
+    for line in checkpoints {
+        let parent = field_u64(line, "parent").unwrap_or(0);
+        assert!(
+            walker_ids.contains(&parent),
+            "checkpoint span not parented to a walker span: {line}"
+        );
+    }
+    assert_eq!(named("cluster.merge").len(), 1, "one merge span per run");
 
     server.shutdown();
     server.join();

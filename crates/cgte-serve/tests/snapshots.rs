@@ -105,6 +105,11 @@ fn killed_server_restores_sessions_bit_exactly() {
         ),
     );
     assert_eq!(st, 200, "{body}");
+    assert_eq!(
+        json_u64(&body, "len"),
+        0,
+        "an open answers its sample count"
+    );
     let (st, _) = client.request_ok("POST", "/sessions/s0/ingest", "{\"steps\":300}");
     assert_eq!(st, 200);
 
