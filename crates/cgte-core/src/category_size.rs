@@ -73,12 +73,14 @@ pub fn induced_size<S: Records + ?Sized>(
     if cats.is_empty() {
         return None;
     }
-    let num: f64 = cats
+    // A fold from +0.0, not `sum()` (whose empty sum is -0.0): an
+    // unsampled category estimates +0.0, as in `induced_sizes` and the
+    // streamed accumulators.
+    let num = cats
         .iter()
         .zip(ws)
         .filter(|(cat, _)| **cat == c)
-        .map(|(_, w)| 1.0 / w)
-        .sum();
+        .fold(0.0, |acc, (_, w)| acc + 1.0 / w);
     Some(population * num / reweighted_size(ws))
 }
 

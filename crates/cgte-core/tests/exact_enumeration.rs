@@ -12,14 +12,20 @@
 //!   unbiased: `E[ŵ(A,B) | both categories sampled] = w(A,B)`;
 //! - the star variants (Eq. 5 size, Eq. 9 weight) match hand-computed
 //!   values on explicit samples.
+//!
+//! The Eq. 4 and Eq. 8 proofs also run every tuple through the production
+//! path — an [`ObservationStream`] snapshotted by [`estimate_stream_into`],
+//! what serve, cluster and the experiment runner use — and require it to
+//! equal the batch estimator bit for bit wherever the latter is defined,
+//! so the exact-unbiasedness results carry over to it.
 
 use cgte_core::category_size::{
     induced_size, mean_degree, mean_degree_in, relative_volume, star_size,
 };
 use cgte_core::edge_weight::{induced_weight, star_weight};
-use cgte_core::StarSizeOptions;
+use cgte_core::{estimate_stream_into, StarSizeOptions, StreamEstimate};
 use cgte_graph::{CategoryGraph, Graph, GraphBuilder, NodeId, Partition};
-use cgte_sampling::{InducedSample, StarSample};
+use cgte_sampling::{InducedSample, ObservationContext, ObservationStream, StarSample};
 
 /// Two triangles joined by a bridge: categories {0,1,2} and {3,4,5}.
 /// Degrees 2,2,3,3,2,2; one cut edge, so w(A,B) = 1/9.
@@ -41,6 +47,39 @@ fn star5() -> (Graph, Partition) {
     let g = b.build();
     let p = Partition::from_assignments(vec![0, 0, 1, 1, 1], 2).unwrap();
     (g, p)
+}
+
+/// The production path over one sample: a reused [`ObservationStream`]
+/// fed the tuple under the uniform design, then snapshotted.
+struct Streamed<'a> {
+    ctx: ObservationContext<'a>,
+    stream: ObservationStream,
+    est: StreamEstimate,
+}
+
+impl<'a> Streamed<'a> {
+    fn new(g: &'a Graph, p: &'a Partition) -> Self {
+        Streamed {
+            ctx: ObservationContext::new(g, p),
+            stream: ObservationStream::new(p.num_categories()),
+            est: StreamEstimate::new(p.num_categories()),
+        }
+    }
+
+    fn estimate(&mut self, nodes: &[NodeId]) -> &StreamEstimate {
+        self.stream.reset();
+        self.stream.ingest_uniform(&self.ctx, nodes);
+        let population = self.ctx.graph().num_nodes() as f64;
+        estimate_stream_into(
+            self.stream.star(),
+            self.stream.induced(),
+            population,
+            &StarSizeOptions::default(),
+            true,
+            &mut self.est,
+        );
+        &self.est
+    }
 }
 
 /// Calls `f` with every ordered with-replacement tuple of `m` node ids.
@@ -69,13 +108,22 @@ fn induced_size_eq4_exactly_unbiased_under_uis() {
     for (g, p) in [bridge(), star5()] {
         let n = g.num_nodes();
         let cg = CategoryGraph::exact(&g, &p);
+        let mut streamed = Streamed::new(&g, &p);
         for m in [1usize, 2, 3] {
             let tuples = (n as f64).powi(m as i32);
             for c in 0..p.num_categories() as u32 {
                 let mut sum = 0.0f64;
                 for_all_tuples(n, m, |nodes| {
                     let s = InducedSample::observe(&g, &p, nodes);
-                    sum += induced_size(&s, c, n as f64).expect("non-empty sample");
+                    let batch = induced_size(&s, c, n as f64).expect("non-empty sample");
+                    let est = streamed.estimate(nodes);
+                    assert!(est.induced_defined, "tuple {nodes:?}");
+                    assert_eq!(
+                        est.sizes_induced[c as usize].to_bits(),
+                        batch.to_bits(),
+                        "tuple {nodes:?} cat {c}: streamed Eq. 4 differs from batch"
+                    );
+                    sum += batch;
                 });
                 let truth = cg.size(c);
                 let mean = sum / tuples;
@@ -95,12 +143,21 @@ fn induced_weight_eq8_exactly_conditionally_unbiased_under_uis() {
         let cg = CategoryGraph::exact(&g, &p);
         let truth = cg.weight(0, 1);
         assert!(truth > 0.0, "fixtures have a cut edge");
+        let mut streamed = Streamed::new(&g, &p);
         for m in [2usize, 3, 4] {
             let mut sum = 0.0f64;
             let mut defined = 0usize;
             for_all_tuples(n, m, |nodes| {
                 let s = InducedSample::observe(&g, &p, nodes);
                 if let Some(w) = induced_weight(&s, 0, 1) {
+                    let est = streamed.estimate(nodes);
+                    for (a, b) in [(0, 1), (1, 0)] {
+                        assert_eq!(
+                            est.weights_induced.get(a, b).to_bits(),
+                            w.to_bits(),
+                            "tuple {nodes:?}: streamed Eq. 8 ({a},{b}) differs from batch"
+                        );
+                    }
                     sum += w;
                     defined += 1;
                 }

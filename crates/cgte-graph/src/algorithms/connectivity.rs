@@ -86,24 +86,6 @@ pub fn giant_component(g: &Graph) -> (Graph, Vec<NodeId>) {
     (b.build(), old_id)
 }
 
-/// BFS distances from `source`; unreachable nodes get `usize::MAX`.
-pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.num_nodes()];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == usize::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,14 +130,6 @@ mod tests {
         let (giant, old_ids) = giant_component(&g);
         assert_eq!(giant.num_nodes(), 1);
         assert_eq!(old_ids.len(), 1);
-    }
-
-    #[test]
-    fn bfs_on_path() {
-        let g = GraphBuilder::from_edges(5, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[..4], [0, 1, 2, 3]);
-        assert_eq!(d[4], usize::MAX); // isolated
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl DegreeStats {
     }
 }
 
-/// Degree histogram: `hist[k]` is the number of nodes with degree `k`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.num_nodes() {
-        hist[g.degree(v as NodeId)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,15 +97,5 @@ mod tests {
         let s = DegreeStats::of(&GraphBuilder::new(0).build());
         assert_eq!(s.max, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = GraphBuilder::from_edges(5, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 5);
-        assert_eq!(h[0], 1); // isolated node 4
-        assert_eq!(h[1], 2); // path endpoints
-        assert_eq!(h[2], 2); // interior
     }
 }

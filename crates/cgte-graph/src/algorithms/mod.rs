@@ -1,9 +1,9 @@
 //! Graph algorithms used by the evaluation pipeline.
 //!
-//! - [`connectivity`]: connected components, giant component extraction,
-//!   BFS distances. The paper requires connected graphs for its crawls.
-//! - [`degree`]: degree histograms and summary statistics, used to verify
-//!   that dataset stand-ins reproduce the published degree skew.
+//! - [`connectivity`]: connected components and giant component
+//!   extraction. The paper requires connected graphs for its crawls.
+//! - [`degree`]: degree summary statistics, used to verify that dataset
+//!   stand-ins reproduce the published degree skew.
 //! - [`communities`]: Newman's leading-eigenvector modularity method
 //!   (reference \[47\] of the paper) plus label propagation; §6.3.1 builds its
 //!   worst-case category partitions from the 50 largest communities.
@@ -20,5 +20,5 @@ pub use communities::{
     label_propagation, leading_eigenvector_communities, modularity, top_k_partition,
     CommunityOptions,
 };
-pub use connectivity::{bfs_distances, connected_components, giant_component, Components};
-pub use degree::{degree_histogram, DegreeStats};
+pub use connectivity::{connected_components, giant_component, Components};
+pub use degree::DegreeStats;

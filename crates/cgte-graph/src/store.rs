@@ -7,17 +7,16 @@
 //!
 //! ```text
 //! magic   "CGTEG\0"            6 bytes
-//! version u16                  1 (legacy) or 2 (current, aligned)
+//! version u16                  1 (unaligned) or 2 (current, aligned)
 //! nsect   u32                  number of sections
 //! section × nsect:
 //!   name_len u16, name utf-8   e.g. "csr.offsets", "part.main"
 //!   tag      u8                1 = u32, 2 = u64, 3 = f64, 4 = bytes
 //!   count    u64               element count
-//!   pad      0–7 zero bytes    v2 only: aligns payload to 8 (see below)
+//!   pad      0–7 zero bytes    version 2 only: aligns payload to 8
 //!   payload  count × size      little-endian
-//!   checksum u64               8-byte-block multiplicative mix over
-//!                              name ‖ tag ‖ payload (see section_checksum;
-//!                              v2 uses the 4-lane section_checksum_v2)
+//!   checksum u64               multiplicative mix over name ‖ tag ‖
+//!                              payload (which one: see below)
 //! ```
 //!
 //! Everything is little-endian. The container is deliberately generic — a
@@ -25,20 +24,23 @@
 //! same format carries a bare graph (`csr.offsets` + `csr.targets`), a
 //! graph with partition blocks (`part.<name>`), or richer layered bundles
 //! (the scenario engine's disk cache stores whole Facebook-simulation
-//! bundles, crawls included, as extra sections).
+//! bundles, crawls included, as extra sections). Sibling formats reuse it
+//! under their own magic through [`Container::write_to_magic`] and
+//! [`Container::read_from_magic`] (the `.cgtes` session snapshots).
 //!
-//! **Version 2** inserts zero padding before every payload so it starts at
-//! a file offset divisible by 8. Combined with the fixed-width
-//! little-endian encoding, that lets [`Loader`] borrow the CSR arrays
-//! *in place* from a page-aligned memory mapping instead of decoding them
-//! into heap vectors. The pad length is derived from the stream position
-//! (never stored); readers require the pad bytes to be zero, so a flipped
-//! pad byte is detected even though pads are outside the checksum. v2 also
-//! switches the per-section checksum to a 4-lane variant that breaks the
-//! serial multiply dependency and verifies at memory bandwidth. Version 1
-//! files remain fully readable (via the streamed heap path); sibling
-//! formats built on [`Container::write_to_magic`] (the `.cgtes` session
-//! snapshots) keep the v1 framing and checksum unchanged.
+//! **The version field alone picks the framing**, under any magic:
+//! version 1 puts each payload right after its header and checksums it
+//! with the single-lane `section_checksum`; version 2 pads each payload
+//! with zeros to a file offset divisible by 8 and checksums it with the
+//! 4-lane `section_checksum_v2`, which verifies at memory bandwidth. Any
+//! other version is an error on write and on read. The alignment plus the
+//! fixed-width little-endian encoding lets [`Loader`] borrow a version 2
+//! file's CSR arrays *in place* from a page-aligned memory mapping
+//! instead of decoding them into heap vectors; version 1 files load
+//! through the streamed heap path. The pad length is derived from the
+//! stream position (never stored), and every reader requires the pad
+//! bytes to be zero, so a flipped pad byte is detected even though pads
+//! are outside the checksum.
 //!
 //! Loading never panics on hostile input: magic/version/structure problems
 //! surface as [`StoreError::Format`], bit rot as [`StoreError::Checksum`],
@@ -191,12 +193,7 @@ impl SectionData {
 
     /// Payload size in bytes.
     pub fn byte_len(&self) -> usize {
-        match self {
-            SectionData::U32(v) => v.len() * 4,
-            SectionData::U64(v) => v.len() * 8,
-            SectionData::F64(v) => v.len() * 8,
-            SectionData::Bytes(v) => v.len(),
-        }
+        self.len() * elem_size(self.tag()).expect("every variant has a tag") as usize
     }
 
     fn payload(&self) -> Vec<u8> {
@@ -371,10 +368,58 @@ fn section_checksum_v2(chunks: &[&[u8]]) -> u64 {
     h
 }
 
-/// Zero bytes needed after stream position `pos` so the next byte lands on
-/// an 8-byte boundary (v2 payload alignment).
-fn pad_to_8(pos: u64) -> usize {
-    (pos.wrapping_neg() % 8) as usize
+/// The section framing a container version selects — a pure function of
+/// the version field, whatever the magic. The one writer and every reader
+/// (streamed, mapped, table-of-contents scan) go through this type, so no
+/// two of them can disagree about a file's pads or checksum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Framing {
+    /// Version 1: payloads follow their header unpadded, single-lane
+    /// [`section_checksum`].
+    Unaligned,
+    /// Version 2: payloads start at an 8-byte file offset, 4-lane
+    /// [`section_checksum_v2`].
+    Aligned,
+}
+
+impl Framing {
+    /// The framing of a container version; `None` for any version this
+    /// build neither reads nor writes.
+    fn of(version: u16) -> Option<Framing> {
+        match version {
+            VERSION_V1 => Some(Framing::Unaligned),
+            VERSION => Some(Framing::Aligned),
+            _ => None,
+        }
+    }
+
+    /// Zero bytes that follow a section header ending at stream position
+    /// `pos`, before its payload. Derived from the position, never stored.
+    fn pad(self, pos: u64) -> usize {
+        match self {
+            Framing::Unaligned => 0,
+            Framing::Aligned => (pos.wrapping_neg() % 8) as usize,
+        }
+    }
+
+    /// The checksum stored after a section's payload.
+    fn checksum(self, name: &[u8], tag: u8, payload: &[u8]) -> u64 {
+        let chunks = [name, &[tag], payload];
+        match self {
+            Framing::Unaligned => section_checksum(&chunks),
+            Framing::Aligned => section_checksum_v2(&chunks),
+        }
+    }
+}
+
+/// Payload bytes per element of a section tag; `None` for an unknown tag.
+fn elem_size(tag: u8) -> Option<u64> {
+    match tag {
+        1 => Some(4),
+        2 | 3 => Some(8),
+        4 => Some(1),
+        _ => None,
+    }
 }
 
 /// A parsed (or to-be-written) container: an ordered list of sections.
@@ -448,13 +493,27 @@ impl Container {
         }
     }
 
-    /// Serializes the container in the current (v2) format: header, then
-    /// every section with its payload padded to an 8-byte file offset and
-    /// its 4-lane checksum. The pad length is recomputed from the running
-    /// position, never stored.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
+    /// Serializes the container in the current format, version 2: every
+    /// payload padded to an 8-byte file offset, 4-lane checksums.
+    pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
+        self.write_to_magic(w, MAGIC, VERSION)
+    }
+
+    /// Serializes the container under a caller-chosen magic and version —
+    /// the same section framing carries sibling formats (the `.cgtes`
+    /// session snapshots use `CGTES\0`). The version alone picks the
+    /// framing (see the module docs); a version this build cannot read
+    /// back is an error.
+    pub fn write_to_magic<W: Write>(
+        &self,
+        mut w: W,
+        magic: &[u8; 6],
+        version: u16,
+    ) -> io::Result<()> {
+        let framing = Framing::of(version)
+            .ok_or_else(|| io::Error::other(format!("unsupported container version {version}")))?;
+        w.write_all(magic)?;
+        w.write_all(&version.to_le_bytes())?;
         let nsect = u32::try_from(self.sections.len())
             .map_err(|_| io::Error::other("too many sections"))?;
         w.write_all(&nsect.to_le_bytes())?;
@@ -469,209 +528,159 @@ impl Container {
             w.write_all(&[tag])?;
             w.write_all(&(s.data.len() as u64).to_le_bytes())?;
             pos += 2 + name.len() as u64 + 1 + 8;
-            let pad = pad_to_8(pos);
+            let pad = framing.pad(pos);
             w.write_all(&[0u8; 8][..pad])?;
-            pos += pad as u64;
             let payload = s.data.payload();
             w.write_all(&payload)?;
-            pos += payload.len() as u64 + 8;
-            let checksum = section_checksum_v2(&[name, &[tag], &payload]);
-            w.write_all(&checksum.to_le_bytes())?;
+            w.write_all(&framing.checksum(name, tag, &payload).to_le_bytes())?;
+            pos += (pad + payload.len() + 8) as u64;
         }
         Ok(())
     }
 
-    /// Like [`Container::write_to`], but with a caller-chosen magic and
-    /// version — the same section framing and checksums carry sibling
-    /// formats (the `.cgtes` session snapshots use `CGTES\0`).
-    pub fn write_to_magic<W: Write>(
-        &self,
-        mut w: W,
-        magic: &[u8; 6],
-        version: u16,
-    ) -> io::Result<()> {
-        w.write_all(magic)?;
-        w.write_all(&version.to_le_bytes())?;
-        let nsect = u32::try_from(self.sections.len())
-            .map_err(|_| io::Error::other("too many sections"))?;
-        w.write_all(&nsect.to_le_bytes())?;
-        for s in &self.sections {
-            let name = s.name.as_bytes();
-            let name_len = u16::try_from(name.len())
-                .map_err(|_| io::Error::other(format!("section name too long: {:?}", s.name)))?;
-            w.write_all(&name_len.to_le_bytes())?;
-            w.write_all(name)?;
-            let tag = s.data.tag();
-            w.write_all(&[tag])?;
-            w.write_all(&(s.data.len() as u64).to_le_bytes())?;
-            let payload = s.data.payload();
-            w.write_all(&payload)?;
-            let checksum = section_checksum(&[name, &[tag], &payload]);
-            w.write_all(&checksum.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Parses a container (version 1 or 2), verifying the magic, section
-    /// framing and every per-section checksum. Truncated or corrupted
-    /// input yields an error — never a panic.
+    /// Parses a `.cgteg` container (version 1 or 2), verifying the magic,
+    /// section framing and every per-section checksum. Truncated or
+    /// corrupted input yields an error — never a panic.
     pub fn read_from<R: Read>(r: R) -> Result<Container, StoreError> {
-        let mut r = CountingReader { inner: r, pos: 0 };
-        let mut magic = [0u8; 6];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(StoreError::Format(format!(
-                "bad magic {magic:?} (expected {MAGIC:?})"
-            )));
-        }
-        let version = read_u16(&mut r)?;
-        if version != VERSION && version != VERSION_V1 {
-            return Err(StoreError::Format(format!(
-                "unsupported version {version} (this build reads versions {VERSION_V1} and {VERSION})"
-            )));
-        }
-        let nsect = read_u32(&mut r)?;
-        let mut sections = Vec::new();
-        for i in 0..nsect {
-            let name_len = read_u16(&mut r)? as usize;
-            let mut name_buf = vec![0u8; name_len];
-            r.read_exact(&mut name_buf)?;
-            let name = String::from_utf8(name_buf)
-                .map_err(|_| StoreError::Format(format!("section {i} name is not utf-8")))?;
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            let tag = tag[0];
-            let count = read_u64(&mut r)?;
-            let elem_size: u64 = match tag {
-                1 => 4,
-                2 | 3 => 8,
-                4 => 1,
-                other => {
-                    return Err(StoreError::Format(format!(
-                        "section {name:?} has unknown tag {other}"
-                    )))
-                }
-            };
-            let byte_len = count
-                .checked_mul(elem_size)
-                .ok_or_else(|| StoreError::Format(format!("section {name:?} count overflows")))?;
-            if version >= VERSION {
-                // v2 alignment pad; must read back as zeros (pads are not
-                // checksummed, so this is what keeps them tamper-evident).
-                let mut pad_buf = [0u8; 8];
-                let pad = pad_to_8(r.pos);
-                r.read_exact(&mut pad_buf[..pad])?;
-                if pad_buf[..pad].iter().any(|&b| b != 0) {
-                    return Err(StoreError::Format(format!(
-                        "section {name:?} has nonzero pad bytes"
-                    )));
-                }
-            }
-            // Read via `take` so a corrupted (huge) count cannot trigger a
-            // matching up-front allocation: beyond the pre-reserve cap the
-            // buffer grows only as real bytes arrive, and a short read is
-            // a clean truncation error. Honest section sizes (the cap is
-            // far above any real graph's) are reserved exactly, so the
-            // bulk read lands in one allocation with no regrow copies.
-            const RESERVE_CAP: u64 = 1 << 28;
-            let mut payload = Vec::new();
-            payload.reserve_exact(byte_len.min(RESERVE_CAP) as usize);
-            let read = (&mut r)
-                .take(byte_len)
-                .read_to_end(&mut payload)
-                .map_err(StoreError::Io)?;
-            if read as u64 != byte_len {
-                return Err(StoreError::Format(format!(
-                    "section {name:?} truncated ({read} of {byte_len} bytes)"
-                )));
-            }
-            let checksum = read_u64(&mut r)?;
-            let expected = if version >= VERSION {
-                section_checksum_v2(&[name.as_bytes(), &[tag], &payload])
-            } else {
-                section_checksum(&[name.as_bytes(), &[tag], &payload])
-            };
-            if expected != checksum {
-                return Err(StoreError::Checksum { section: name });
-            }
-            let data = SectionData::from_payload(tag, count as usize, &payload)?;
-            sections.push(Section { name, data });
-        }
-        Ok(Container { sections })
+        read_container(r, MAGIC, &[VERSION_V1, VERSION])
     }
 
     /// Like [`Container::read_from`], but for a sibling format with its
     /// own magic and version (see [`Container::write_to_magic`]).
     pub fn read_from_magic<R: Read>(
-        mut r: R,
+        r: R,
         expect_magic: &[u8; 6],
         expect_version: u16,
     ) -> Result<Container, StoreError> {
-        let mut magic = [0u8; 6];
-        r.read_exact(&mut magic)?;
-        if &magic != expect_magic {
-            return Err(StoreError::Format(format!(
-                "bad magic {magic:?} (expected {expect_magic:?})"
-            )));
-        }
-        let version = read_u16(&mut r)?;
-        if version != expect_version {
-            return Err(StoreError::Format(format!(
-                "unsupported version {version} (this build reads version {expect_version})"
-            )));
-        }
-        let nsect = read_u32(&mut r)?;
-        let mut sections = Vec::new();
-        for i in 0..nsect {
-            let name_len = read_u16(&mut r)? as usize;
-            let mut name_buf = vec![0u8; name_len];
-            r.read_exact(&mut name_buf)?;
-            let name = String::from_utf8(name_buf)
-                .map_err(|_| StoreError::Format(format!("section {i} name is not utf-8")))?;
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            let tag = tag[0];
-            let count = read_u64(&mut r)?;
-            let elem_size: u64 = match tag {
-                1 => 4,
-                2 | 3 => 8,
-                4 => 1,
-                other => {
-                    return Err(StoreError::Format(format!(
-                        "section {name:?} has unknown tag {other}"
-                    )))
-                }
-            };
-            let byte_len = count
-                .checked_mul(elem_size)
-                .ok_or_else(|| StoreError::Format(format!("section {name:?} count overflows")))?;
-            // Read via `take` so a corrupted (huge) count cannot trigger a
-            // matching up-front allocation: beyond the pre-reserve cap the
-            // buffer grows only as real bytes arrive, and a short read is
-            // a clean truncation error. Honest section sizes (the cap is
-            // far above any real graph's) are reserved exactly, so the
-            // bulk read lands in one allocation with no regrow copies.
-            const RESERVE_CAP: u64 = 1 << 28;
-            let mut payload = Vec::new();
-            payload.reserve_exact(byte_len.min(RESERVE_CAP) as usize);
-            let read = (&mut r)
-                .take(byte_len)
-                .read_to_end(&mut payload)
-                .map_err(StoreError::Io)?;
-            if read as u64 != byte_len {
-                return Err(StoreError::Format(format!(
-                    "section {name:?} truncated ({read} of {byte_len} bytes)"
-                )));
-            }
-            let checksum = read_u64(&mut r)?;
-            if section_checksum(&[name.as_bytes(), &[tag], &payload]) != checksum {
-                return Err(StoreError::Checksum { section: name });
-            }
-            let data = SectionData::from_payload(tag, count as usize, &payload)?;
-            sections.push(Section { name, data });
-        }
-        Ok(Container { sections })
+        read_container(r, expect_magic, &[expect_version])
     }
+}
+
+/// The streamed reader behind [`Container::read_from`] and
+/// [`Container::read_from_magic`]: decodes every section heap-owned.
+fn read_container<R: Read>(r: R, magic: &[u8; 6], accept: &[u16]) -> Result<Container, StoreError> {
+    let mut r = CountingReader { inner: r, pos: 0 };
+    let (_, framing, nsect) = read_preamble(&mut r, magic, accept)?;
+    let mut sections = Vec::new();
+    for i in 0..nsect {
+        let h = read_section_header(&mut r, framing, i)?;
+        // Read via `take` so a corrupted (huge) count cannot trigger a
+        // matching up-front allocation: beyond the pre-reserve cap the
+        // buffer grows only as real bytes arrive, and a short read is a
+        // clean truncation error. Honest section sizes (the cap is far
+        // above any real graph's) are reserved exactly, so the bulk read
+        // lands in one allocation with no regrow copies.
+        const RESERVE_CAP: u64 = 1 << 28;
+        let mut payload = Vec::new();
+        payload.reserve_exact(h.byte_len.min(RESERVE_CAP) as usize);
+        let read = (&mut r)
+            .take(h.byte_len)
+            .read_to_end(&mut payload)
+            .map_err(StoreError::Io)?;
+        if read as u64 != h.byte_len {
+            return Err(h.truncated(read as u64));
+        }
+        h.verify(framing, &payload, read_u64(&mut r)?)?;
+        let data = SectionData::from_payload(h.tag, h.count as usize, &payload)?;
+        sections.push(Section { name: h.name, data });
+    }
+    Ok(Container { sections })
+}
+
+/// Reads and checks a container's preamble: the magic, then a version
+/// that both this build and the caller accept. Returns the version, its
+/// framing and the section count.
+fn read_preamble<R: Read>(
+    r: &mut R,
+    expect_magic: &[u8; 6],
+    accept: &[u16],
+) -> Result<(u16, Framing, u32), StoreError> {
+    let mut magic = [0u8; 6];
+    r.read_exact(&mut magic)?;
+    if &magic != expect_magic {
+        return Err(StoreError::Format(format!(
+            "bad magic {magic:?} (expected {expect_magic:?})"
+        )));
+    }
+    let version = read_u16(r)?;
+    let framing = Framing::of(version)
+        .filter(|_| accept.contains(&version))
+        .ok_or_else(|| {
+            StoreError::Format(format!(
+                "unsupported version {version} (this build reads versions {VERSION_V1} and {VERSION}; expected {accept:?})"
+            ))
+        })?;
+    Ok((version, framing, read_u32(r)?))
+}
+
+/// A section's framing up to its payload: what [`read_section_header`]
+/// returns with the reader positioned on the first payload byte.
+struct SectionHeader {
+    name: String,
+    tag: u8,
+    count: u64,
+    byte_len: u64,
+}
+
+impl SectionHeader {
+    /// The error for a payload cut short after `got` bytes.
+    fn truncated(&self, got: u64) -> StoreError {
+        StoreError::Format(format!(
+            "section {:?} truncated ({got} of {} bytes)",
+            self.name, self.byte_len
+        ))
+    }
+
+    /// Checks the stored checksum against the payload.
+    fn verify(&self, framing: Framing, payload: &[u8], stored: u64) -> Result<(), StoreError> {
+        if framing.checksum(self.name.as_bytes(), self.tag, payload) == stored {
+            Ok(())
+        } else {
+            Err(StoreError::Checksum {
+                section: self.name.clone(),
+            })
+        }
+    }
+}
+
+/// Reads section `index`'s header — name, tag, count — checks the element
+/// type and that the payload size fits a `u64`, then consumes the pad the
+/// framing puts before the payload and requires it to be zero (pads are
+/// not checksummed, so this is what keeps them tamper-evident). The one
+/// header walk behind the streamed, mapped and table-of-contents readers.
+fn read_section_header<R: Read>(
+    r: &mut CountingReader<R>,
+    framing: Framing,
+    index: u32,
+) -> Result<SectionHeader, StoreError> {
+    let name_len = read_u16(r)? as usize;
+    let mut name_buf = vec![0u8; name_len];
+    r.read_exact(&mut name_buf)?;
+    let name = String::from_utf8(name_buf)
+        .map_err(|_| StoreError::Format(format!("section {index} name is not utf-8")))?;
+    let mut tag = [0u8; 1];
+    r.read_exact(&mut tag)?;
+    let tag = tag[0];
+    let count = read_u64(r)?;
+    let elem = elem_size(tag)
+        .ok_or_else(|| StoreError::Format(format!("section {name:?} has unknown tag {tag}")))?;
+    let byte_len = count
+        .checked_mul(elem)
+        .ok_or_else(|| StoreError::Format(format!("section {name:?} count overflows")))?;
+    let mut pad = [0u8; 8];
+    let pad = &mut pad[..framing.pad(r.pos)];
+    r.read_exact(pad)?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(StoreError::Format(format!(
+            "section {name:?} has nonzero pad bytes"
+        )));
+    }
+    Ok(SectionHeader {
+        name,
+        tag,
+        count,
+        byte_len,
+    })
 }
 
 /// A lightweight table-of-contents view of a `.cgteg` file, produced by
@@ -701,101 +710,60 @@ pub struct StoreSummary {
 /// which is what lets a server list a directory of million-node graphs
 /// without reading any of them.
 ///
-/// Checksums of skipped sections are **not** verified; the full
+/// Headers and pads get the same checks as on a full load, but checksums
+/// of skipped sections are **not** verified; the full
 /// [`Container::read_from`] path re-validates everything at load time.
-pub fn scan_summary<R: Read + io::Seek>(mut r: R) -> Result<StoreSummary, StoreError> {
-    let mut magic = [0u8; 6];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(StoreError::Format(format!(
-            "bad magic {magic:?} (not a .cgteg file)"
-        )));
-    }
-    let version = read_u16(&mut r)?;
-    if version != VERSION && version != VERSION_V1 {
-        return Err(StoreError::Format(format!(
-            "unsupported version {version} (this build reads versions {VERSION_V1} and {VERSION})"
-        )));
-    }
-    let nsect = read_u32(&mut r)?;
+pub fn scan_summary<R: Read + io::Seek>(r: R) -> Result<StoreSummary, StoreError> {
+    let mut r = CountingReader { inner: r, pos: 0 };
+    let (version, framing, nsect) = read_preamble(&mut r, MAGIC, &[VERSION_V1, VERSION])?;
     let mut out = StoreSummary {
         version,
         ..StoreSummary::default()
     };
     for i in 0..nsect {
-        let name_len = read_u16(&mut r)? as usize;
-        let mut name_buf = vec![0u8; name_len];
-        r.read_exact(&mut name_buf)?;
-        let name = String::from_utf8(name_buf)
-            .map_err(|_| StoreError::Format(format!("section {i} name is not utf-8")))?;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let tag = tag[0];
-        let count = read_u64(&mut r)?;
-        let elem_size: u64 = match tag {
-            1 => 4,
-            2 | 3 => 8,
-            4 => 1,
-            other => {
-                return Err(StoreError::Format(format!(
-                    "section {name:?} has unknown tag {other}"
-                )))
-            }
-        };
-        let byte_len = count
-            .checked_mul(elem_size)
-            .ok_or_else(|| StoreError::Format(format!("section {name:?} count overflows")))?;
-        if version >= VERSION {
-            let pos = r.stream_position().map_err(StoreError::Io)?;
-            let pad = pad_to_8(pos) as u64;
-            if pad > 0 {
-                r.seek(io::SeekFrom::Start(pos + pad))
-                    .map_err(StoreError::Io)?;
-            }
-        }
+        let h = read_section_header(&mut r, framing, i)?;
         // Metadata strings are tiny; cap defensively so a hostile count
         // cannot balloon the scan.
         const META_CAP: u64 = 1 << 16;
-        if tag == 4 && name.starts_with("meta.") && byte_len <= META_CAP {
-            let mut payload = vec![0u8; byte_len as usize];
+        if h.tag == 4 && h.name.starts_with("meta.") && h.byte_len <= META_CAP {
+            let mut payload = vec![0u8; h.byte_len as usize];
             r.read_exact(&mut payload)?;
             if let Ok(s) = std::str::from_utf8(&payload) {
-                match name.as_str() {
+                match h.name.as_str() {
                     "meta.kind" => out.kind = Some(s.to_string()),
                     "meta.key" => out.key = Some(s.to_string()),
                     _ => {}
                 }
             }
         } else {
-            let pos = r.stream_position().map_err(StoreError::Io)?;
-            let end = r.seek(io::SeekFrom::End(0)).map_err(StoreError::Io)?;
-            if end.saturating_sub(pos) < byte_len {
-                return Err(StoreError::Format(format!(
-                    "section {name:?} truncated ({} of {byte_len} bytes)",
-                    end.saturating_sub(pos)
-                )));
-            }
-            r.seek(io::SeekFrom::Start(pos + byte_len))
+            // A seek past the end is allowed; the checksum read below is
+            // what fails on a payload cut short.
+            let skip = i64::try_from(h.byte_len)
+                .map_err(|_| StoreError::Format(format!("section {:?} count overflows", h.name)))?;
+            r.inner
+                .seek(io::SeekFrom::Current(skip))
                 .map_err(StoreError::Io)?;
+            r.pos += h.byte_len;
         }
         let _checksum = read_u64(&mut r)?;
-        match name.as_str() {
-            SEC_OFFSETS => out.num_nodes = Some((count as usize).saturating_sub(1)),
-            SEC_TARGETS => out.num_edges = Some(count as usize / 2),
+        match h.name.as_str() {
+            SEC_OFFSETS => out.num_nodes = Some((h.count as usize).saturating_sub(1)),
+            SEC_TARGETS => out.num_edges = Some(h.count as usize / 2),
             _ => {
-                if let Some(p) = name.strip_prefix("part.") {
+                if let Some(p) = h.name.strip_prefix("part.") {
                     out.partitions.push(p.to_string());
                 }
             }
         }
-        out.sections.push((name, count as usize, byte_len as usize));
+        out.sections
+            .push((h.name, h.count as usize, h.byte_len as usize));
     }
     Ok(out)
 }
 
-/// Wraps a reader with a running byte position, so the streamed v2 reader
-/// can recompute each section's pad length (pads are position-derived,
-/// never stored) without requiring `Seek`.
+/// Wraps a reader with a running byte position, so every reader can
+/// recompute each section's pad length (pads are position-derived, never
+/// stored) without requiring `Seek`.
 struct CountingReader<R> {
     inner: R,
     pos: u64,
@@ -889,36 +857,14 @@ fn graph_from_container(c: &Container, validate: Validate) -> Result<Graph, Stor
 }
 
 /// The hot owned-decode path behind [`Loader::load`] for streamed (v1 or
-/// non-mmap) loads: moves the CSR sections out of the container instead of
-/// copying the (large) target array.
+/// non-mmap) loads: removes both CSR sections from the container, moving
+/// the (large) target array into the graph instead of copying it.
 fn graph_from_container_owned(c: &mut Container, validate: Validate) -> Result<Graph, StoreError> {
-    let offsets64 = match c.take(SEC_OFFSETS) {
-        Some(SectionData::U64(v)) => v,
-        Some(_) => {
-            return Err(StoreError::Format(format!(
-                "section {SEC_OFFSETS:?} is not u64"
-            )))
-        }
-        None => {
-            return Err(StoreError::Format(format!(
-                "missing section {SEC_OFFSETS:?}"
-            )))
-        }
+    let offsets = validate_csr(c.u64s(SEC_OFFSETS)?, c.u32s(SEC_TARGETS)?, validate)?;
+    c.take(SEC_OFFSETS);
+    let Some(SectionData::U32(targets)) = c.take(SEC_TARGETS) else {
+        unreachable!("{SEC_TARGETS:?} was checked to be u32 above")
     };
-    let targets = match c.take(SEC_TARGETS) {
-        Some(SectionData::U32(v)) => v,
-        Some(_) => {
-            return Err(StoreError::Format(format!(
-                "section {SEC_TARGETS:?} is not u32"
-            )))
-        }
-        None => {
-            return Err(StoreError::Format(format!(
-                "missing section {SEC_TARGETS:?}"
-            )))
-        }
-    };
-    let offsets = validate_csr(&offsets64, &targets, validate)?;
     Ok(Graph::from_csr_trusted(offsets, targets))
 }
 
@@ -1243,84 +1189,39 @@ struct MappedSection {
 
 /// Walks a v2 container's framing over the mapped bytes, verifying every
 /// per-section checksum and pad **before** any payload range is handed
-/// out. Returns `Ok(None)` for v1 files (valid, but unaligned — the
-/// caller decodes them owned instead).
+/// out; payloads are checked in place, never copied. Returns `Ok(None)`
+/// for v1 files (valid, but unaligned — the caller decodes them owned
+/// instead).
 #[cfg(cgte_mmap)]
 fn parse_mapped_sections(bytes: &[u8]) -> Result<Option<Vec<MappedSection>>, StoreError> {
-    let truncated = || StoreError::Format("truncated file".into());
-    let get = |start: usize, len: usize| -> Result<&[u8], StoreError> {
-        bytes
-            .get(start..start.checked_add(len).ok_or_else(truncated)?)
-            .ok_or_else(truncated)
+    let mut r = CountingReader {
+        inner: bytes,
+        pos: 0,
     };
-    let magic = get(0, 6)?;
-    if magic != MAGIC {
-        return Err(StoreError::Format(format!(
-            "bad magic {magic:?} (expected {MAGIC:?})"
-        )));
-    }
-    let version = u16::from_le_bytes(get(6, 2)?.try_into().expect("2 bytes"));
-    if version == VERSION_V1 {
+    let (_, framing, nsect) = read_preamble(&mut r, MAGIC, &[VERSION_V1, VERSION])?;
+    if framing == Framing::Unaligned {
         return Ok(None);
     }
-    if version != VERSION {
-        return Err(StoreError::Format(format!(
-            "unsupported version {version} (this build reads versions {VERSION_V1} and {VERSION})"
-        )));
-    }
-    let nsect = u32::from_le_bytes(get(8, 4)?.try_into().expect("4 bytes"));
-    let mut pos: usize = 12;
     // Reserve conservatively: a corrupted (huge) nsect must not translate
     // into a matching allocation — the loop below fails on the first
     // out-of-bounds section read instead.
     let mut secs = Vec::with_capacity(nsect.min(64) as usize);
     for i in 0..nsect {
-        let name_len = u16::from_le_bytes(get(pos, 2)?.try_into().expect("2 bytes")) as usize;
-        pos += 2;
-        let name = std::str::from_utf8(get(pos, name_len)?)
-            .map_err(|_| StoreError::Format(format!("section {i} name is not utf-8")))?
-            .to_string();
-        pos += name_len;
-        let tag = get(pos, 1)?[0];
-        pos += 1;
-        let count = u64::from_le_bytes(get(pos, 8)?.try_into().expect("8 bytes"));
-        pos += 8;
-        let elem_size: u64 = match tag {
-            1 => 4,
-            2 | 3 => 8,
-            4 => 1,
-            other => {
-                return Err(StoreError::Format(format!(
-                    "section {name:?} has unknown tag {other}"
-                )))
-            }
-        };
-        let byte_len = count
-            .checked_mul(elem_size)
-            .ok_or_else(|| StoreError::Format(format!("section {name:?} count overflows")))?;
-        let byte_len = usize::try_from(byte_len)
-            .map_err(|_| StoreError::Format(format!("section {name:?} count overflows")))?;
-        let pad = pad_to_8(pos as u64);
-        if get(pos, pad)?.iter().any(|&b| b != 0) {
-            return Err(StoreError::Format(format!(
-                "section {name:?} has nonzero pad bytes"
-            )));
-        }
-        pos += pad;
-        let payload = get(pos, byte_len)?;
-        let payload_start = pos;
-        pos += byte_len;
-        let checksum = u64::from_le_bytes(get(pos, 8)?.try_into().expect("8 bytes"));
-        pos += 8;
-        if section_checksum_v2(&[name.as_bytes(), &[tag], payload]) != checksum {
-            return Err(StoreError::Checksum { section: name });
-        }
+        let h = read_section_header(&mut r, framing, i)?;
+        let payload_start = r.pos as usize;
+        let payload = r
+            .inner
+            .get(..h.byte_len as usize)
+            .ok_or_else(|| h.truncated(r.inner.len() as u64))?;
+        r.inner = &r.inner[payload.len()..];
+        r.pos += h.byte_len;
+        h.verify(framing, payload, read_u64(&mut r)?)?;
         secs.push(MappedSection {
-            name,
-            tag,
-            count: count as usize,
+            name: h.name,
+            tag: h.tag,
+            count: h.count as usize,
             payload_start,
-            payload_len: byte_len,
+            payload_len: h.byte_len as usize,
         });
     }
     Ok(Some(secs))
@@ -1557,6 +1458,84 @@ mod tests {
             VERSION_V1,
             "summary reports the on-disk version"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn framing_follows_the_version_under_any_magic() {
+        // The 3-byte section leaves the next header unaligned, so the two
+        // framings differ in pads as well as checksums.
+        let mut c = Container::new();
+        c.push(Section::bytes("odd", vec![1, 2, 3]));
+        c.push(Section::u64s("counts", vec![7, 8]));
+        c.push(Section::f64s("floats", vec![1.5, -0.0]));
+        for magic in [MAGIC, b"CGTES\0"] {
+            for version in [VERSION_V1, VERSION] {
+                let mut buf = Vec::new();
+                c.write_to_magic(&mut buf, magic, version).unwrap();
+                let back = Container::read_from_magic(&buf[..], magic, version).unwrap();
+                assert_eq!(back, c, "{magic:?} v{version} via read_from_magic");
+                if magic == MAGIC {
+                    let back = Container::read_from(&buf[..]).unwrap();
+                    assert_eq!(back, c, "v{version} via read_from");
+                }
+            }
+        }
+        let mut v2 = Vec::new();
+        c.write_to(&mut v2).unwrap();
+        assert_eq!(
+            Container::read_from_magic(&v2[..], MAGIC, VERSION).unwrap(),
+            c
+        );
+        let mut v2_magic = Vec::new();
+        c.write_to_magic(&mut v2_magic, MAGIC, VERSION).unwrap();
+        assert_eq!(v2_magic, v2, "write_to is write_to_magic(MAGIC, VERSION)");
+        // A version with no framing is refused both ways.
+        assert!(c.write_to_magic(&mut Vec::new(), MAGIC, 3).is_err());
+        let mut v3 = v2.clone();
+        v3[6] = 3;
+        for err in [
+            Container::read_from(&v3[..]).unwrap_err(),
+            Container::read_from_magic(&v3[..], MAGIC, 3).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, StoreError::Format(m) if m.contains("version")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn summary_rejects_every_truncation_and_a_flipped_pad() {
+        let g = sample_graph();
+        let p = Partition::from_assignments(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
+        let mut c = Container::new();
+        for s in graph_sections(&g) {
+            c.push(s);
+        }
+        c.push(partition_section("main", &p));
+        c.push(Section::string("meta.kind", "bundle"));
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        let path = temp_file("summary-sweep", &buf);
+        assert!(Loader::open(&path).summary().is_ok());
+        for len in 0..buf.len() {
+            std::fs::write(&path, &buf[..len]).unwrap();
+            assert!(
+                Loader::open(&path).summary().is_err(),
+                "summary of a file truncated at {len} bytes must fail"
+            );
+        }
+        // The first header ends unaligned: its pad sits right after it.
+        let pad_at = 12 + 2 + SEC_OFFSETS.len() + 1 + 8;
+        assert_ne!(pad_at % 8, 0, "fixture must have a nonempty first pad");
+        let mut bad = buf.clone();
+        bad[pad_at] = 1;
+        std::fs::write(&path, &bad).unwrap();
+        match Loader::open(&path).summary() {
+            Err(StoreError::Format(m)) => assert!(m.contains("pad"), "{m}"),
+            other => panic!("a flipped pad byte must be a format error, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,17 +8,19 @@
 //! uninterrupted stream by construction (property-tested in
 //! `tests/snapshot_roundtrip.rs`).
 //!
-//! The on-disk format reuses the `.cgteg` container machinery from
+//! The on-disk format reuses the `.cgteg` container codec from
 //! [`cgte_graph::store`] verbatim — named, typed, individually
 //! FNV-checksummed sections — under its own magic (`CGTES\0`), so
 //! truncation and bit rot fail with the same clean [`StoreError`]s the
-//! graph store is exhaustively tested for. Consumers (the `cgte-serve`
-//! session snapshots) add their own metadata sections next to the log;
-//! this module owns only the stream payload.
+//! graph store is exhaustively tested for. As in every container, the
+//! version field picks the framing: snapshots are [`VERSION`] 1, so
+//! payloads are unpadded and carry the single-lane checksum. Consumers
+//! (the `cgte-serve` session snapshots) add their own metadata sections
+//! next to the log; this module owns only the stream payload.
 
 use crate::observe::ObservationContext;
 use crate::stream::ObservationStream;
-use cgte_graph::store::{Container, Section, SectionData, StoreError};
+use cgte_graph::store::{Container, Section, StoreError};
 use std::io::{Read, Write};
 
 /// File magic of a `.cgtes` session snapshot.
@@ -80,19 +82,7 @@ pub fn stream_from_container(
             ctx.num_categories()
         )));
     }
-    let nodes = match c.get(SEC_LOG_NODES) {
-        Some(SectionData::U32(v)) => v,
-        Some(_) => {
-            return Err(StoreError::Format(format!(
-                "section {SEC_LOG_NODES:?} is not u32"
-            )))
-        }
-        None => {
-            return Err(StoreError::Format(format!(
-                "missing section {SEC_LOG_NODES:?}"
-            )))
-        }
-    };
+    let nodes = c.u32s(SEC_LOG_NODES)?;
     let weights = c.f64s(SEC_LOG_WEIGHTS)?;
     if nodes.len() != weights.len() {
         return Err(StoreError::Format(format!(
