@@ -38,7 +38,6 @@ pub mod bootstrap;
 pub mod category_size;
 pub mod edge_weight;
 pub mod hansen_hurwitz;
-pub mod local_properties;
 pub mod population;
 pub mod stream;
 

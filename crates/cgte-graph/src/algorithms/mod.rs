@@ -1,12 +1,14 @@
 //! Graph algorithms used by the evaluation pipeline.
 //!
-//! - [`connectivity`]: connected components and giant component
-//!   extraction. The paper requires connected graphs for its crawls.
-//! - [`degree`]: degree summary statistics, used to verify that dataset
+//! - [`connected_components`] and [`giant_component`]: connected
+//!   components and giant component extraction. The paper requires
+//!   connected graphs for its crawls.
+//! - [`DegreeStats`]: degree summary statistics, used to verify that dataset
 //!   stand-ins reproduce the published degree skew.
-//! - [`communities`]: Newman's leading-eigenvector modularity method
-//!   (reference \[47\] of the paper) plus label propagation; §6.3.1 builds its
-//!   worst-case category partitions from the 50 largest communities.
+//! - [`leading_eigenvector_communities`]: Newman's leading-eigenvector
+//!   modularity method (reference \[47\] of the paper), plus
+//!   [`label_propagation`]; §6.3.1 builds its worst-case category
+//!   partitions from the 50 largest communities.
 
 mod clustering;
 mod communities;

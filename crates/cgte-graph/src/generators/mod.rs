@@ -3,17 +3,18 @@
 //! All generators are deterministic given an RNG; pass a seeded
 //! [`rand::rngs::StdRng`] for reproducible experiments.
 //!
-//! - [`planted`]: the paper's synthetic model (§6.2.1) — per-category
+//! - [`planted_partition`]: the paper's synthetic model (§6.2.1) — per-category
 //!   k-regular random graphs plus random inter-category edges, with the
 //!   community-tightness knob α.
-//! - [`kregular`]: k-regular random graphs via stub pairing + rewiring.
-//! - [`configuration`]: configuration model for arbitrary degree sequences,
-//!   plus power-law degree sequence sampling.
-//! - [`erdos_renyi`]: G(n, m) and G(n, p).
+//! - [`k_regular`]: k-regular random graphs via stub pairing + rewiring.
+//! - [`configuration_model_erased`] and [`configuration_model_rewired`]:
+//!   configuration model for arbitrary degree sequences, plus power-law
+//!   degree sequence sampling ([`powerlaw_degree_sequence`]).
+//! - [`gnm`] and [`gnp`]: Erdős–Rényi G(n, m) and G(n, p).
 //! - [`chung_lu`]: expected-degree (Chung–Lu) model, used for the empirical
 //!   dataset stand-ins.
 //! - [`barabasi_albert`]: preferential attachment.
-//! - [`par`]-prefixed variants (`par_chung_lu`, `par_gnp`,
+//! - `par_`-prefixed variants (`par_chung_lu`, `par_gnp`,
 //!   `par_barabasi_albert`, `par_configuration_model_erased`,
 //!   `par_planted_partition`): chunked, thread-invariant parallel
 //!   counterparts for million-node graphs (see [`crate::parallel`]).

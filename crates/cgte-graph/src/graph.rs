@@ -59,7 +59,7 @@ impl CsrStorage {
 /// neighbor iteration is cache-friendly. The structure is immutable after
 /// construction — the paper explicitly restricts itself to static graphs.
 ///
-/// The CSR arrays are representation-agnostic ([`CsrStorage`]): either
+/// The CSR arrays are representation-agnostic (`CsrStorage`): either
 /// owned heap vectors, or zero-copy borrows from a memory-mapped `.cgteg`
 /// file ([`Graph::is_mapped`]). Equality, hashing of derived results and
 /// every accessor depend only on the logical CSR content, never on the

@@ -1,6 +1,6 @@
 //! Graph substrate for coarse-grained topology estimation.
 //!
-//! This crate provides everything the estimators in [`cgte-core`] need from a
+//! This crate provides everything the estimators in `cgte-core` need from a
 //! graph, without any knowledge of sampling or estimation itself:
 //!
 //! - [`Graph`]: an undirected, static graph in compressed sparse row (CSR)

@@ -341,7 +341,7 @@ impl StarSample {
 
     /// Forgets the star information, yielding the induced-subgraph view of
     /// the same draw — the paper's §7.1 trick for comparing designs on the
-    /// same data ("by discarding the information about v's [neighbors]").
+    /// same data ("by discarding the information about v's \[neighbors\]").
     ///
     /// Requires the graph to re-derive induced edges (the star structure
     /// does not store neighbor identities, only their categories).
@@ -606,19 +606,22 @@ impl<'a> ObservationContext<'a> {
 /// `O(s_k · deg)` pushes plus `k` snapshots of `O(C²)` each, instead of
 /// `O(Σ s_i · deg)` re-observation work.
 ///
-/// Accumulators are **mergeable**: each one keeps the `(node, weight)` log
-/// of its pushes, and [`StarAccumulator::merge`] replays the other shard's
-/// log through the same `push` path, so
+/// This accumulator holds a stream's one `(node, weight)` push log
+/// ([`StarAccumulator::log`]). [`ObservationStream::merge`] replays another
+/// stream's log through the same `push` path, so
 /// `observe(a); merge(observe(b)) ≡ observe(a ++ b)` holds **bit-exactly**
 /// (same operations in the same order — property-tested in
 /// `tests/merge_law.rs`). Sharded ingestion (per-thread or per-crawler
 /// partial observations) therefore composes into exactly the state a
 /// single sequential observer would have reached.
+///
+/// [`ObservationStream::merge`]: crate::ObservationStream::merge
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarAccumulator {
     num_categories: usize,
     len: usize,
-    /// The pushed `(node, weight)` sequence, in order — the merge log.
+    /// The pushed `(node, weight)` sequence, in order — the stream's one
+    /// push log.
     log: Vec<(NodeId, f64)>,
     /// `Σ_s |E_{s,c}| / w(s)` per category — the Eq. (7)/(13) numerators.
     nbr_mass: Vec<f64>,
@@ -671,27 +674,12 @@ impl StarAccumulator {
             + self.weight_num.heap_bytes()
     }
 
-    /// Folds another shard's observations into this one by replaying its
-    /// push log in order — `O(Σ deg)` over the other shard's samples, and
-    /// bit-identical to having pushed those samples here directly (the
-    /// merge law; see the type docs).
-    ///
-    /// # Panics
-    /// Panics if the category counts differ (the shards must observe the
-    /// same partition).
-    pub fn merge(&mut self, ctx: &ObservationContext<'_>, other: &StarAccumulator) {
-        assert_eq!(
-            self.num_categories, other.num_categories,
-            "merged accumulators must share a category count"
-        );
-        for &(v, w) in &other.log {
-            self.push(ctx, v, w);
-        }
-    }
-
     /// The pushed `(node, weight)` sequence, in order. This is what
-    /// [`StarAccumulator::merge`] replays, and what consumers needing a
-    /// materialized observation (bootstrap resampling) re-observe from.
+    /// [`ObservationStream::merge`] replays, what snapshots persist, and
+    /// what consumers needing a materialized observation (bootstrap
+    /// resampling) re-observe from.
+    ///
+    /// [`ObservationStream::merge`]: crate::ObservationStream::merge
     #[inline]
     pub fn log(&self) -> &[(NodeId, f64)] {
         &self.log
@@ -794,12 +782,13 @@ impl StarAccumulator {
 /// bit-identical to a from-scratch [`InducedSample`]-then-estimate pass
 /// (see `induced_weights_all`, which replays the same summation order).
 ///
-/// Like [`StarAccumulator`], this accumulator is mergeable via its push
-/// log ([`InducedAccumulator::merge`]); here replay is not merely an
-/// FP-exactness trick but semantically required — an edge between a node
-/// in shard `a` and a node in shard `b` is visible to neither shard alone,
-/// and only re-pushing `b`'s samples against `a`'s per-node masses recovers
-/// the cross-shard pair contributions of `observe(a ++ b)`.
+/// This accumulator keeps no log: [`ObservationStream::merge`] replays the
+/// stream's one log ([`StarAccumulator::log`]) through both accumulators.
+/// For the induced scenario replay is not merely an FP-exactness trick but
+/// semantically required — an edge between a node in shard `a` and a node
+/// in shard `b` is visible to neither shard alone, and only re-pushing
+/// `b`'s samples against `a`'s per-node masses recovers the cross-shard
+/// pair contributions of `observe(a ++ b)`.
 ///
 /// **Membership filter and slot pool.** Most neighbors of a sampled node
 /// are not in the sample, so `push` first tests an exact membership bitset
@@ -817,25 +806,29 @@ impl StarAccumulator {
 /// a power of two. A push therefore costs `O(deg + 64)` for any id set.
 /// Per accumulator memory is `n/8` bytes for the bitset, 4 bytes per 64
 /// nodes for the chunk directory, 12 bytes per pool slot (under 4 slots
-/// per distinct sampled node, free chunks included) and 16 bytes per
-/// sample for the log. Both the bitset and the directory are sized from the
-/// context's graph on first push and grow if the accumulator is later
-/// pushed against a larger graph. [`InducedAccumulator::reset`] clears
-/// only the bitset words its log touched, in `O(len)` rather than
-/// `O(n/64)`, so scratch reuse across replications stays independent of
-/// graph size; a cleared word's stale directory entry is never read.
+/// per distinct sampled node, free chunks included) and 4 bytes per bitset
+/// word that holds a member. Both the bitset and the directory are sized
+/// from the context's graph on first push and grow if the accumulator is
+/// later pushed against a larger graph. [`InducedAccumulator::reset`]
+/// walks the list of words that got a first member and clears only those,
+/// in `O(touched words)` rather than `O(n/64)`, so scratch reuse across
+/// replications stays independent of graph size; a cleared word's stale
+/// directory entry is never read.
+///
+/// [`ObservationStream::merge`]: crate::ObservationStream::merge
 #[derive(Debug, Clone)]
 pub struct InducedAccumulator {
     num_categories: usize,
     len: usize,
-    /// The pushed `(node, weight)` sequence, in order — the merge log.
-    log: Vec<(NodeId, f64)>,
     /// `w⁻¹(S_c)` per category — Eq. (4)/(11) numerators.
     per_cat_mass: Vec<f64>,
     /// `w⁻¹(S)`.
     inv_mass: f64,
-    /// Bit `v` is set iff `v` is in the log.
+    /// Bit `v` is set iff `v` was pushed.
     members: Vec<u64>,
+    /// The index of every `members` word that holds a member, in the order
+    /// the words got their first one — what `reset` clears.
+    touched: Vec<u32>,
     /// The pool slot where each bitset word's chunk starts; read only for a
     /// word with a member. The chunk's first `popcount(word)` slots are
     /// live, in bit order, and its capacity is that count rounded up to a
@@ -856,14 +849,14 @@ pub struct InducedAccumulator {
 /// 64 nodes of a bitset word.
 const CHUNK_CLASSES: usize = 7;
 
-/// Equality of the logical state only: the bitset and the slot pool are
-/// functions of the log, and their layout depends on which graphs the
-/// accumulator has seen, so a fresh accumulator equals a reset one.
+/// Equality of the estimator state only: the bitset and the slot pool are
+/// functions of the pushed sequence, and their layout depends on which
+/// graphs the accumulator has seen, so a fresh accumulator equals a reset
+/// one.
 impl PartialEq for InducedAccumulator {
     fn eq(&self, other: &Self) -> bool {
         self.num_categories == other.num_categories
             && self.len == other.len
-            && self.log == other.log
             && self.per_cat_mass == other.per_cat_mass
             && self.inv_mass == other.inv_mass
             && self.weight_num == other.weight_num
@@ -876,10 +869,10 @@ impl InducedAccumulator {
         InducedAccumulator {
             num_categories,
             len: 0,
-            log: Vec::new(),
             per_cat_mass: vec![0.0; num_categories],
             inv_mass: 0.0,
             members: Vec::new(),
+            touched: Vec::new(),
             chunk_start: Vec::new(),
             mass: Vec::new(),
             cat: Vec::new(),
@@ -888,14 +881,15 @@ impl InducedAccumulator {
         }
     }
 
-    /// Clears all sums, keeping allocations. Walks the log to clear only
-    /// the bitset words it set: `O(len)`, not `O(n/64)`.
+    /// Clears all sums, keeping allocations. Walks the touched words to
+    /// clear only the bitset words that hold a member: `O(touched words)`,
+    /// not `O(n/64)`.
     pub fn reset(&mut self) {
-        for &(v, _) in &self.log {
-            self.members[v as usize / 64] = 0;
+        for &i in &self.touched {
+            self.members[i as usize] = 0;
         }
+        self.touched.clear();
         self.len = 0;
-        self.log.clear();
         self.per_cat_mass.fill(0.0);
         self.inv_mass = 0.0;
         self.mass.clear();
@@ -904,41 +898,19 @@ impl InducedAccumulator {
         self.weight_num.reset();
     }
 
-    /// Heap bytes held: the log, the membership bitset, the chunk
-    /// directory, the slot pool with its free lists, and the `O(C²)` sums.
+    /// Heap bytes held: the membership bitset with its touched-word list,
+    /// the chunk directory, the slot pool with its free lists, and the
+    /// `O(C²)` sums.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.log.capacity() * size_of::<(NodeId, f64)>()
-            + self.members.capacity() * size_of::<u64>()
+        self.members.capacity() * size_of::<u64>()
+            + self.touched.capacity() * size_of::<u32>()
             + self.chunk_start.capacity() * size_of::<u32>()
             + self.mass.capacity() * size_of::<f64>()
             + self.cat.capacity() * size_of::<CategoryId>()
             + self.free.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
             + self.per_cat_mass.capacity() * size_of::<f64>()
             + self.weight_num.heap_bytes()
-    }
-
-    /// Folds another shard's observations into this one by replaying its
-    /// push log in order; cross-shard adjacent pairs are discovered here,
-    /// so the result is exactly (bit-identically) the state of a single
-    /// accumulator pushed with `self`'s samples then `other`'s.
-    ///
-    /// # Panics
-    /// Panics if the category counts differ.
-    pub fn merge(&mut self, ctx: &ObservationContext<'_>, other: &InducedAccumulator) {
-        assert_eq!(
-            self.num_categories, other.num_categories,
-            "merged accumulators must share a category count"
-        );
-        for &(v, w) in &other.log {
-            self.push(ctx, v, w);
-        }
-    }
-
-    /// The pushed `(node, weight)` sequence, in order.
-    #[inline]
-    pub fn log(&self) -> &[(NodeId, f64)] {
-        &self.log
     }
 
     /// Folds one sampled node with design weight `w` into the statistics.
@@ -986,7 +958,6 @@ impl InducedAccumulator {
         self.mass[slot] += w_inv;
         self.per_cat_mass[c as usize] += w_inv;
         self.inv_mass += w_inv;
-        self.log.push((v, w));
         self.len += 1;
     }
 
@@ -1001,6 +972,9 @@ impl InducedAccumulator {
             return self.chunk_start[i] as usize + rank;
         }
         let live = word.count_ones() as usize;
+        if live == 0 {
+            self.touched.push(i as u32);
+        }
         if live == 0 || live.is_power_of_two() {
             self.grow(i, live);
         }
@@ -1261,6 +1235,52 @@ mod tests {
         acc.push(&ctx, 0, 1.0);
         acc.push(&ctx, 1, 1.0); // adjacent, same category
         assert!(acc.weight_numerators().is_zero());
+    }
+
+    /// The three push orders of `tests/merge_law.rs`'s slot-chunk test,
+    /// over 130 nodes (two full bitset words and a partial one), cut at
+    /// every prefix: the touched list names each word with a member once,
+    /// and `reset` leaves no member bit and no touched word behind.
+    #[test]
+    fn induced_reset_clears_every_touched_word() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n: NodeId = 130;
+        let g = GraphBuilder::from_edges(n as usize, (0..n).map(|v| (v, (v + 1) % n))).unwrap();
+        let p = Partition::from_assignments((0..n).map(|v| v % 3).collect(), 3).unwrap();
+        let ctx = ObservationContext::new(&g, &p);
+        let mut rng = StdRng::seed_from_u64(7);
+        let orders: [Vec<NodeId>; 3] = [
+            (0..n).rev().collect(),
+            (0..64)
+                .flat_map(|k| (0..n.div_ceil(64)).map(move |w| w * 64 + (k * 37) % 64))
+                .filter(|&v| v < n)
+                .collect(),
+            (0..n)
+                .flat_map(|v| [v, v])
+                .chain((0..n).map(|_| rng.gen_range(0..n)))
+                .collect(),
+        ];
+        let mut acc = InducedAccumulator::new(3);
+        for (order, nodes) in orders.iter().enumerate() {
+            for cut in 0..=nodes.len() {
+                for &v in &nodes[..cut] {
+                    acc.push(&ctx, v, 1.0);
+                }
+                let mut touched = acc.touched.clone();
+                touched.sort_unstable();
+                let nonzero: Vec<u32> = (0..acc.members.len() as u32)
+                    .filter(|&i| acc.members[i as usize] != 0)
+                    .collect();
+                assert_eq!(touched, nonzero, "order {order} cut {cut}");
+                acc.reset();
+                assert!(
+                    acc.members.iter().all(|&w| w == 0),
+                    "order {order} cut {cut}"
+                );
+                assert!(acc.touched.is_empty(), "order {order} cut {cut}");
+            }
+        }
     }
 
     #[test]

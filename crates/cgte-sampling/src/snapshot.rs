@@ -1,6 +1,6 @@
 //! `.cgtes` — durable snapshots of in-flight observation streams.
 //!
-//! The accumulators' `(node, weight)` push log is the distributed-systems
+//! A stream's one `(node, weight)` push log is the distributed-systems
 //! primitive of this codebase: replaying a log through the same `push`
 //! path reaches bit-identical state (the merge law). A snapshot therefore
 //! only needs to persist the log — restoring is a replay, and
@@ -21,6 +21,7 @@
 use crate::observe::ObservationContext;
 use crate::stream::ObservationStream;
 use cgte_graph::store::{Container, Section, StoreError};
+use cgte_graph::NodeId;
 use std::io::{Read, Write};
 
 /// File magic of a `.cgtes` session snapshot.
@@ -39,7 +40,7 @@ pub const SEC_CATEGORIES: &str = "log.categories";
 
 /// Encodes a stream's push log as container sections.
 ///
-/// Both wrapped accumulators log the same pushes in lockstep, so one log
+/// The stream keeps one log for both wrapped accumulators, so it
 /// reconstructs the pair.
 pub fn stream_sections(stream: &ObservationStream) -> Vec<Section> {
     let log = stream.log();
@@ -58,16 +59,30 @@ pub fn stream_sections(stream: &ObservationStream) -> Vec<Section> {
 
 /// Rebuilds a stream from a container's log sections by replaying every
 /// `(node, weight)` through the push path — bit-identical to the stream
-/// that was snapshotted (and to one that never stopped).
-///
-/// All invariants a replay relies on are proven first — section presence
-/// and types, equal lengths, the recorded category count matching the
-/// context, node ids in range, weights positive and finite — so hostile
-/// or stale input fails with a typed error before any state is touched.
+/// that was snapshotted (and to one that never stopped). The log is
+/// validated first by [`log_from_container`].
 pub fn stream_from_container(
     c: &Container,
     ctx: &ObservationContext<'_>,
 ) -> Result<ObservationStream, StoreError> {
+    let (nodes, weights) = log_from_container(c, ctx)?;
+    let mut stream = ObservationStream::new(ctx.num_categories());
+    stream.ingest(ctx, nodes, weights);
+    Ok(stream)
+}
+
+/// A container's validated log: the pushed node ids and their design
+/// weights, ready for [`ObservationStream::ingest`] into a stream over
+/// `ctx`.
+///
+/// All invariants a replay relies on are proven here — section presence
+/// and types, equal lengths, the recorded category count matching the
+/// context, node ids in range, weights positive and finite — so hostile
+/// or stale input fails with a typed error before any state is touched.
+pub fn log_from_container<'c>(
+    c: &'c Container,
+    ctx: &ObservationContext<'_>,
+) -> Result<(&'c [NodeId], &'c [f64]), StoreError> {
     let cats = c.u64s(SEC_CATEGORIES)?;
     if cats.len() != 1 {
         return Err(StoreError::Format(format!(
@@ -104,9 +119,7 @@ pub fn stream_from_container(
             )));
         }
     }
-    let mut stream = ObservationStream::new(ctx.num_categories());
-    stream.ingest(ctx, nodes, weights);
-    Ok(stream)
+    Ok((nodes, weights))
 }
 
 /// Writes a container as a `.cgtes` stream (the `CGTES\0` magic over the
@@ -167,27 +180,41 @@ mod tests {
         assert!(matches!(err, StoreError::Format(_)), "{err}");
     }
 
+    /// Every hostile log is refused by both entry points: the final
+    /// cluster merge validates through `log_from_container` alone, so it
+    /// must reject exactly what a restore rejects, before any push.
     #[test]
     fn out_of_range_node_and_bad_weight_rejected() {
         let (g, p) = fixture();
         let ctx = ObservationContext::new(&g, &p);
-        for (nodes, weights) in [
-            (vec![99u32], vec![1.0]),
-            (vec![1], vec![0.0]),
-            (vec![1], vec![f64::NAN]),
-            (vec![1, 2], vec![1.0]),
-        ] {
+        for (case, (cats, nodes, weights)) in [
+            (vec![2u64], vec![99u32], vec![1.0]),
+            (vec![2], vec![1], vec![0.0]),
+            (vec![2], vec![1], vec![f64::NAN]),
+            (vec![2], vec![1, 2], vec![1.0]),
+            // Category-count mismatch.
+            (vec![7], vec![], vec![]),
+            // The categories section must hold exactly one count.
+            (vec![], vec![1], vec![1.0]),
+            (vec![2, 2], vec![1], vec![1.0]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let one_count = cats.len() == 1;
             let mut c = Container::new();
-            c.push(Section::u64s(SEC_CATEGORIES, vec![2]));
+            c.push(Section::u64s(SEC_CATEGORIES, cats));
             c.push(Section::u32s(SEC_LOG_NODES, nodes));
             c.push(Section::f64s(SEC_LOG_WEIGHTS, weights));
-            assert!(stream_from_container(&c, &ctx).is_err());
+            let err = log_from_container(&c, &ctx).unwrap_err().to_string();
+            assert_eq!(
+                stream_from_container(&c, &ctx).unwrap_err().to_string(),
+                err,
+                "case {case}"
+            );
+            if !one_count {
+                assert!(err.contains("exactly one count"), "case {case}: {err}");
+            }
         }
-        // Category-count mismatch.
-        let mut c = Container::new();
-        c.push(Section::u64s(SEC_CATEGORIES, vec![7]));
-        c.push(Section::u32s(SEC_LOG_NODES, vec![]));
-        c.push(Section::f64s(SEC_LOG_WEIGHTS, vec![]));
-        assert!(stream_from_container(&c, &ctx).is_err());
     }
 }

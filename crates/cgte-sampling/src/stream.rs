@@ -5,7 +5,7 @@
 //! This is the paper's operating model made explicit: a crawler streams
 //! node samples in and category-graph estimates come out, without the
 //! estimator ever holding the full sample — only `O(C²)` running sums
-//! (plus the push log that makes shards mergeable). The batch experiment
+//! (plus one push log, which makes shards mergeable). The batch experiment
 //! runner (`cgte_eval::run_experiment`) and the online estimation service
 //! (`cgte-serve`) both sit on this kernel, so their numbers are
 //! bit-identical by construction.
@@ -45,16 +45,12 @@ use cgte_graph::NodeId;
 ///
 /// A single push feeds the [`StarAccumulator`] and the
 /// [`InducedAccumulator`] in lockstep, so every estimator family of the
-/// paper can be snapshotted from the same stream at any prefix. Streams
-/// are mergeable with the same bit-exact law as the accumulators they
-/// wrap (star first, then induced — a fixed order, so merged state equals
-/// sequentially pushed state field for field).
+/// paper can be snapshotted from the same stream at any prefix.
 ///
-/// Each wrapped accumulator keeps its own `(node, weight)` push log —
-/// a deliberate 16 bytes/sample duplication: the logs are what make the
-/// accumulators independently mergeable, and sharing one log across the
-/// pair would leave a stream's inner accumulators silently unmergeable
-/// on their own. [`ObservationStream::log`] exposes the star copy.
+/// The stream keeps one `(node, weight)` push log, held by the star
+/// accumulator; the induced accumulator keeps none. That one log is what
+/// [`ObservationStream::merge`] replays and what snapshots persist, and
+/// [`ObservationStream::log`] exposes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservationStream {
     star: StarAccumulator,
@@ -77,7 +73,7 @@ impl ObservationStream {
         self.induced.reset();
     }
 
-    /// Heap bytes held by both accumulators: both logs, the induced
+    /// Heap bytes held by both accumulators: the one push log, the induced
     /// membership bitset, chunk directory and slot pool (under 4 slots of
     /// 12 bytes per distinct sampled node), and the `O(C²)` sums.
     pub fn heap_bytes(&self) -> usize {
@@ -135,14 +131,23 @@ impl ObservationStream {
         }
     }
 
-    /// Folds another stream's observations into this one (bit-exact merge
-    /// law; see [`StarAccumulator::merge`]).
+    /// Folds another stream's observations into this one by replaying its
+    /// log through [`ObservationStream::push`] in order. The result is
+    /// bit-identical to having pushed those samples here directly (the
+    /// merge law), and cross-shard induced pairs are found on the way.
     ///
     /// # Panics
-    /// Panics if the category counts differ.
+    /// Panics if the category counts differ (the shards must observe the
+    /// same partition).
     pub fn merge(&mut self, ctx: &ObservationContext<'_>, other: &ObservationStream) {
-        self.star.merge(ctx, &other.star);
-        self.induced.merge(ctx, &other.induced);
+        assert_eq!(
+            self.num_categories(),
+            other.num_categories(),
+            "merged accumulators must share a category count"
+        );
+        for &(v, w) in other.log() {
+            self.push(ctx, v, w);
+        }
     }
 
     /// Number of ingested samples.
@@ -212,6 +217,23 @@ mod tests {
         assert_eq!(s.log(), &[(2, 1.0), (3, 1.0)]);
         s.reset();
         assert!(s.is_empty());
+    }
+
+    /// The induced accumulator keeps no log: repeat pushes of one node
+    /// touch only its existing slot, so its heap stops growing after the
+    /// first push (the stream's one log grows in the star accumulator).
+    #[test]
+    fn induced_heap_is_flat_under_repeat_pushes() {
+        let (g, p) = fixture();
+        let ctx = ObservationContext::new(&g, &p);
+        let mut s = ObservationStream::new(2);
+        s.push(&ctx, 2, 1.0);
+        let heap = s.induced().heap_bytes();
+        for _ in 1..10_000 {
+            s.push(&ctx, 2, 1.0);
+        }
+        assert_eq!(s.induced().heap_bytes(), heap);
+        assert_eq!(s.log().len(), 10_000);
     }
 
     #[test]

@@ -792,7 +792,8 @@ pub fn run_cluster_with(
     .map_err(|_| ClusterError::Shard("round worker panicked".to_string()))?;
     loop_result?;
 
-    // Merge completed walkers' logs, in walker order, locally.
+    // Merge completed walkers' logs, in walker order, locally: each final
+    // log is validated, then replayed once straight into the merged stream.
     let mut merge_span = cgte_obs::span(cgte_obs::LEVEL_COARSE, "cluster.merge");
     let mut merged = ObservationStream::new(ctx.num_categories());
     let mut completed = 0usize;
@@ -803,16 +804,16 @@ pub fn run_cluster_with(
         let (_, bytes) = w.checkpoint.as_ref().expect("complete implies checkpoint");
         let container = snapshot::read_snapshot(&bytes[..])
             .map_err(|e| ClusterError::Shard(format!("walker {i} final snapshot: {e}")))?;
-        let stream = snapshot::stream_from_container(&container, ctx)
+        let (nodes, weights) = snapshot::log_from_container(&container, ctx)
             .map_err(|e| ClusterError::Shard(format!("walker {i} final snapshot: {e}")))?;
-        if stream.len() != cfg.steps_per_walker {
+        if nodes.len() != cfg.steps_per_walker {
             return Err(ClusterError::Shard(format!(
                 "walker {i} delivered {} samples, expected {}",
-                stream.len(),
+                nodes.len(),
                 cfg.steps_per_walker
             )));
         }
-        merged.merge(ctx, &stream);
+        merged.ingest(ctx, nodes, weights);
         completed += 1;
     }
     merge_span.field_u64("walkers", completed as u64);

@@ -646,7 +646,7 @@ fn metrics(state: &ServerState) -> String {
     emit(
         "cgte_serve_session_heap_bytes",
         "gauge",
-        "Heap bytes of open sessions' observation streams (push logs, membership bitsets, induced slot pools), as of each session's last ingest.",
+        "Heap bytes of open sessions' observation streams (one push log each, membership bitsets, induced slot pools), as of each session's last ingest.",
         heap_bytes.to_string(),
     );
     emit(

@@ -66,8 +66,10 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .unwrap();
     assert_eq!(st, 404);
     // First scrape, with s0 live: its stream's heap bytes cover at least
-    // both 300-entry push logs. It is also counted under the metrics
-    // endpoint label so the second scrape (the one we validate) can see it.
+    // its one 300-entry push log of 16-byte entries plus the induced
+    // membership bitset over the graph's nodes (one u64 per 64 nodes). It
+    // is also counted under the metrics endpoint label so the second
+    // scrape (the one we validate) can see it.
     let (st, live) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(st, 200);
     promtext::validate(&live).unwrap_or_else(|e| panic!("invalid exposition: {e:?}"));
@@ -75,7 +77,11 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .unwrap()
         .value("cgte_serve_session_heap_bytes")
         .unwrap();
-    assert!(live_heap >= (2 * 300 * 16) as f64, "live heap: {live_heap}");
+    let bitset = g.num_nodes().div_ceil(64) * 8;
+    assert!(
+        live_heap >= (300 * 16 + bitset) as f64,
+        "live heap: {live_heap}"
+    );
     let (st, _) = client.request("DELETE", "/sessions/s0", "").unwrap();
     assert_eq!(st, 200);
     let (st, _) = client.request("GET", "/healthz", "").unwrap();

@@ -15,7 +15,7 @@
 //! |--------|----------|
 //! | [`graph`] | CSR graphs, partitions, exact category graphs, generators, communities, clustering |
 //! | [`sampling`] | UIS/WIS/RW/MHRW/S-WRW samplers (+ BFS baseline), induced & star observation, convergence diagnostics |
-//! | [`estimators`] | the paper's estimators (Eq. 4–16), population size, bootstrap, local properties |
+//! | [`estimators`] | the paper's estimators (Eq. 4–16), population size, bootstrap |
 //! | [`eval`] | NRMSE harness, experiment sweeps |
 //! | [`datasets`] | edge-list IO, empirical stand-ins, Facebook-like simulator |
 //! | [`viz`] | DOT/JSON/GraphML exporters and SVG plots for category graphs |
