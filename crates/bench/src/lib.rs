@@ -1,198 +1,13 @@
-//! Shared plumbing for the figure/table reproduction binaries.
+//! The `cgte bench` performance harness and its regression gate.
 //!
-//! Every binary is a thin shim over its embedded scenario in
-//! [`cgte_scenarios`]: it parses the common flags and hands off to the
-//! scenario engine, which schedules the figure's jobs on a worker pool
-//! with a shared graph cache. Every binary accepts:
+//! - [`harness`] times graph build/load, walks, estimation, serving and
+//!   the sharded coordinator, and writes the `BENCH_PR<n>.json` report;
+//! - [`check`] compares a fresh report against a committed baseline.
 //!
-//! - `--quick` — CI-sized smoke run (seconds);
-//! - `--full`  — paper-scale parameters (the default is laptop-scale,
-//!   minutes);
-//! - `--csv DIR` — additionally dump every printed series as CSV;
-//! - `--seed N` — override the base RNG seed;
-//! - `--threads N` — scheduler worker threads (0 = all cores);
-//! - `--out DIR` — persist per-job artifacts + a run manifest;
-//! - `--resume` — skip jobs already completed under `--out DIR`.
-//!
-//! The EXPERIMENTS.md protocol records the *default*-scale outputs; `--full`
-//! reproduces the paper's exact parameters where hardware allows.
+//! The paper's figures and tables run through `cgte run --builtin NAME`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
 pub mod harness;
-
-pub use cgte_scenarios::{fmt_nrmse, log_sizes, RunOptions, Scale};
-use std::path::PathBuf;
-
-/// Parsed common CLI options.
-#[derive(Debug, Clone)]
-pub struct RunArgs {
-    /// Selected scale.
-    pub scale: Scale,
-    /// Where to dump CSV series, if requested.
-    pub csv_dir: Option<PathBuf>,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Scheduler worker threads (0 = all available cores).
-    pub threads: usize,
-    /// Run directory for job artifacts and the resume manifest.
-    pub out_dir: Option<PathBuf>,
-    /// Resume from an interrupted run under `--out DIR`.
-    pub resume: bool,
-}
-
-impl RunArgs {
-    /// Parses `std::env::args()`; exits with a message on unknown flags.
-    pub fn parse() -> RunArgs {
-        let mut scale = Scale::Default;
-        let mut csv_dir = None;
-        let mut seed = 0x2012_5EED;
-        let mut threads = 0;
-        let mut out_dir = None;
-        let mut resume = false;
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => scale = Scale::Quick,
-                "--full" => scale = Scale::Full,
-                "--huge" => scale = Scale::Huge,
-                "--csv" => {
-                    let dir = it.next().unwrap_or_else(|| {
-                        eprintln!("--csv needs a directory");
-                        std::process::exit(2);
-                    });
-                    csv_dir = Some(PathBuf::from(dir));
-                }
-                "--out" => {
-                    let dir = it.next().unwrap_or_else(|| {
-                        eprintln!("--out needs a directory");
-                        std::process::exit(2);
-                    });
-                    out_dir = Some(PathBuf::from(dir));
-                }
-                "--resume" => resume = true,
-                "--seed" => {
-                    seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    });
-                }
-                "--threads" => {
-                    threads = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--threads needs an integer");
-                        std::process::exit(2);
-                    });
-                }
-                other => {
-                    eprintln!(
-                        "unknown flag {other:?} (supported: --quick --full --huge --csv DIR --seed N --threads N --out DIR --resume)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        if resume && out_dir.is_none() {
-            eprintln!("--resume requires --out DIR (the run directory holding the manifest)");
-            std::process::exit(2);
-        }
-        RunArgs {
-            scale,
-            csv_dir,
-            seed,
-            threads,
-            out_dir,
-            resume,
-        }
-    }
-
-    /// The scenario-engine options equivalent to these flags.
-    pub fn to_run_options(&self) -> RunOptions {
-        RunOptions {
-            scale: self.scale,
-            seed: Some(self.seed),
-            csv_dir: self.csv_dir.clone(),
-            threads: self.threads,
-            out_dir: self.out_dir.clone(),
-            resume: self.resume,
-            quiet: false,
-            cache_dir: None,
-            mmap: false,
-        }
-    }
-
-    /// Picks a value by scale. The `huge` tier reuses the `full` value —
-    /// legacy binaries have no dedicated huge parameters.
-    pub fn pick<T: Copy>(&self, quick: T, default: T, full: T) -> T {
-        match self.scale {
-            Scale::Quick => quick,
-            Scale::Default => default,
-            Scale::Full | Scale::Huge => full,
-        }
-    }
-}
-
-/// Runs a built-in scenario with the parsed flags, exiting non-zero on
-/// engine errors — the whole body of every figure binary.
-pub fn run_builtin_main(name: &str) {
-    let args = RunArgs::parse();
-    if let Err(e) = cgte_scenarios::run_builtin(name, &args.to_run_options()) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log_sizes_spans_range() {
-        let v = log_sizes(100, 10_000, 5);
-        assert_eq!(v.first(), Some(&100));
-        assert_eq!(v.last(), Some(&10_000));
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn fmt_nrmse_handles_nan() {
-        assert_eq!(fmt_nrmse(f64::NAN), "-");
-        assert_eq!(fmt_nrmse(0.12345), "0.1235");
-    }
-
-    #[test]
-    fn pick_selects_by_scale() {
-        let a = RunArgs {
-            scale: Scale::Quick,
-            csv_dir: None,
-            seed: 0,
-            threads: 0,
-            out_dir: None,
-            resume: false,
-        };
-        assert_eq!(a.pick(1, 2, 3), 1);
-        let a = RunArgs {
-            scale: Scale::Full,
-            ..a
-        };
-        assert_eq!(a.pick(1, 2, 3), 3);
-    }
-
-    #[test]
-    fn run_options_carry_flags() {
-        let a = RunArgs {
-            scale: Scale::Quick,
-            csv_dir: Some(PathBuf::from("/tmp/x")),
-            seed: 7,
-            threads: 3,
-            out_dir: Some(PathBuf::from("/tmp/run")),
-            resume: true,
-        };
-        let o = a.to_run_options();
-        assert_eq!(o.seed, Some(7));
-        assert_eq!(o.threads, 3);
-        assert!(o.resume);
-        assert_eq!(o.out_dir.as_deref(), Some(std::path::Path::new("/tmp/run")));
-    }
-}

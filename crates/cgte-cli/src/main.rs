@@ -10,11 +10,21 @@
 //! - `exact`    — compute the exact category graph and export it;
 //! - `estimate` — sample, estimate the category graph, and export it;
 //! - `run`      — execute a declarative `.scn` experiment scenario (or a
-//!   built-in one) on the parallel scenario engine;
+//!   built-in one: the paper's figures and tables) on the parallel
+//!   scenario engine;
+//! - `serve`    — the online estimation service over a `.cgteg` store;
+//! - `cluster`  — coordinate a sharded run over several `cgte serve`
+//!   processes;
+//! - `trace summarize` — aggregate a `--trace` JSONL file into a latency
+//!   table;
+//! - `metrics check` — validate a Prometheus text exposition;
 //! - `bench`    — the performance harness, with a `--check` regression
-//!   gate against a committed baseline report.
+//!   gate against a committed baseline report;
+//! - `help`     — print usage.
 //!
-//! Run `cgte help` for usage. Arguments are `--key value` pairs; parsing is
+//! Arguments are `--key value` pairs, the valueless switches `--quick`,
+//! `--full`, `--huge` and `--resume`, and bare positionals (a file path).
+//! Every subcommand rejects a flag it does not know. Parsing is
 //! deliberately dependency-free.
 
 use cgte_core::{CategoryGraphEstimator, Design, SizeMethod, StarSizeOptions};
@@ -157,37 +167,68 @@ fn main() -> ExitCode {
 
 type CliError = Box<dyn std::error::Error>;
 
-/// Parses `--key value` pairs after the subcommand words.
+/// Flags that take no value.
+const SWITCHES: [&str; 4] = ["quick", "full", "huge", "resume"];
+
+/// The arguments after the subcommand word: `--key value` pairs, the
+/// valueless [`SWITCHES`], and bare positionals, in any order.
 struct Args {
-    map: HashMap<String, String>,
+    /// Flag name to value; `None` for a switch.
+    map: HashMap<String, Option<String>>,
+    positionals: Vec<String>,
 }
 
 impl Args {
     fn parse(raw: &[String]) -> Result<Args, CliError> {
         let mut map = HashMap::new();
+        let mut positionals = Vec::new();
         let mut it = raw.iter();
-        while let Some(k) = it.next() {
-            let key = k
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got {k:?}"))?;
-            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            map.insert(key.to_string(), v.clone());
+        while let Some(a) = it.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                positionals.push(a.clone());
+                continue;
+            };
+            let value = if SWITCHES.contains(&key) {
+                None
+            } else {
+                Some(
+                    it.next()
+                        .ok_or_else(|| format!("--{key} needs a value"))?
+                        .clone(),
+                )
+            };
+            map.insert(key.to_string(), value);
         }
-        Ok(Args { map })
+        Ok(Args { map, positionals })
     }
 
-    /// Fails on the first flag outside `known`, so a misspelled or
+    /// Fails on the first flag outside the space-separated `known` or on
+    /// a positional past the first `positionals`, so a misspelled or
     /// retired flag is an error instead of silently ignored.
-    fn only(&self, known: &[&str]) -> Result<(), CliError> {
-        let unknown = self.map.keys().filter(|k| !known.contains(&k.as_str()));
+    fn only(&self, known: &str, positionals: usize) -> Result<(), CliError> {
+        if let Some(extra) = self.positionals.get(positionals) {
+            return Err(format!("unexpected argument {extra:?}\n{USAGE}").into());
+        }
+        let unknown = self
+            .map
+            .keys()
+            .filter(|k| !known.split_whitespace().any(|f| f == k.as_str()));
         match unknown.min() {
             None => Ok(()),
             Some(k) => Err(format!("unknown flag --{k}\n{USAGE}").into()),
         }
     }
 
+    fn positional(&self, i: usize) -> Option<&str> {
+        self.positionals.get(i).map(String::as_str)
+    }
+
+    fn switch(&self, key: &str) -> bool {
+        self.map.contains_key(key)
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
+        self.map.get(key)?.as_deref()
     }
 
     fn required(&self, key: &str) -> Result<&str, CliError> {
@@ -195,43 +236,51 @@ impl Args {
             .ok_or_else(|| format!("missing required --{key}").into())
     }
 
+    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("invalid --{key} {v:?}: {e}").into())
+            })
+            .transpose()
+    }
+
     fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError>
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("invalid --{key} {v:?}: {e}").into()),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 }
 
 fn run() -> Result<(), CliError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = match argv.first().map(String::as_str) {
-        Some("generate") => {
-            let kind = argv.get(1).map(String::as_str).unwrap_or("");
-            let args = Args::parse(&argv[2..])?;
-            cmd_generate(kind, &args)
-        }
-        Some("ingest") => cmd_ingest(&Args::parse(&argv[1..])?),
-        Some("info") => cmd_info(&argv[1..]),
-        Some("sample") => cmd_sample(&Args::parse(&argv[1..])?),
-        Some("exact") => cmd_exact(&Args::parse(&argv[1..])?),
-        Some("estimate") => cmd_estimate(&Args::parse(&argv[1..])?),
-        Some("run") => cmd_run(&argv[1..]),
-        Some("serve") => cmd_serve(&Args::parse(&argv[1..])?),
-        Some("cluster") => cmd_cluster(&Args::parse(&argv[1..])?),
-        Some("trace") => cmd_trace(&argv[1..]),
-        Some("metrics") => cmd_metrics(&argv[1..]),
-        Some("bench") => cmd_bench(&argv[1..]),
-        Some("help") | None => {
+    let Some(cmd) = argv.first() else {
+        print!("{USAGE}");
+        return Ok(());
+    };
+    let args = Args::parse(&argv[1..])?;
+    let result = match cmd.as_str() {
+        "generate" => cmd_generate(&args),
+        "ingest" => cmd_ingest(&args),
+        "info" => cmd_info(&args),
+        "sample" => cmd_sample(&args),
+        "exact" => cmd_exact(&args),
+        "estimate" => cmd_estimate(&args),
+        "run" => cmd_run(&args),
+        "serve" => cmd_serve(&args),
+        "cluster" => cmd_cluster(&args),
+        "trace" => cmd_trace(&args),
+        "metrics" => cmd_metrics(&args),
+        "bench" => cmd_bench(&args),
+        "help" => {
             print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}\n{USAGE}").into()),
+        other => Err(format!("unknown subcommand {other:?}\n{USAGE}").into()),
     };
     // Flush + drop the trace sink (a no-op when --trace was not given),
     // so the last buffered JSONL records hit disk on every exit path.
@@ -254,8 +303,9 @@ fn install_trace(path: Option<&str>, level: u8) -> Result<(), CliError> {
 
 /// `cgte trace summarize FILE.jsonl` — aggregates a trace into a
 /// per-span-name latency table.
-fn cmd_trace(argv: &[String]) -> Result<(), CliError> {
-    match (argv.first().map(String::as_str), argv.get(1)) {
+fn cmd_trace(args: &Args) -> Result<(), CliError> {
+    args.only("", 2)?;
+    match (args.positional(0), args.positional(1)) {
         (Some("summarize"), Some(path)) => {
             let file = File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
             let summary = cgte_obs::summarize::summarize(BufReader::new(file))?;
@@ -268,8 +318,9 @@ fn cmd_trace(argv: &[String]) -> Result<(), CliError> {
 
 /// `cgte metrics check FILE` — validates a Prometheus text exposition
 /// (`-` reads stdin). Exit code 1 with every violation on stderr.
-fn cmd_metrics(argv: &[String]) -> Result<(), CliError> {
-    match (argv.first().map(String::as_str), argv.get(1)) {
+fn cmd_metrics(args: &Args) -> Result<(), CliError> {
+    args.only("", 2)?;
+    match (args.positional(0), args.positional(1)) {
         (Some("check"), Some(path)) => {
             let text = if path == "-" {
                 let mut s = String::new();
@@ -323,11 +374,12 @@ fn save(path: Option<&str>, content: &str) -> Result<(), CliError> {
     }
 }
 
-fn cmd_generate(kind: &str, args: &Args) -> Result<(), CliError> {
+fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let seed: u64 = args.parse_or("seed", 42)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let (graph, partition) = match kind {
+    let (graph, partition) = match args.positional(0).unwrap_or("") {
         "planted" => {
+            args.only("k alpha scale seed graph cats", 1)?;
             let k: usize = args.parse_or("k", 20)?;
             let alpha: f64 = args.parse_or("alpha", 0.5)?;
             let scale: usize = args.parse_or("scale", 1)?;
@@ -340,6 +392,7 @@ fn cmd_generate(kind: &str, args: &Args) -> Result<(), CliError> {
             (pg.graph, pg.partition)
         }
         "standin" => {
+            args.only("kind scale top-k seed graph cats", 1)?;
             let kind = match args.required("kind")? {
                 "texas" => StandinKind::FacebookTexas,
                 "neworleans" => StandinKind::FacebookNewOrleans,
@@ -369,6 +422,7 @@ fn cmd_generate(kind: &str, args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_ingest(args: &Args) -> Result<(), CliError> {
+    args.only("graph cats out", 0)?;
     let gpath = args.required("graph")?;
     let opath = args.required("out")?;
     let edges = BufReader::new(File::open(gpath)?);
@@ -390,13 +444,12 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_info(argv: &[String]) -> Result<(), CliError> {
+fn cmd_info(args: &Args) -> Result<(), CliError> {
     use cgte_graph::store::Loader;
-    let path = argv
-        .first()
-        .filter(|a| !a.starts_with("--"))
+    args.only("sections", 1)?;
+    let path = args
+        .positional(0)
         .ok_or("`info` needs a .cgteg file path")?;
-    let args = Args::parse(&argv[1..])?;
     let show_sections: bool = args.parse_or("sections", true)?;
     // Table-of-contents scan only: O(metadata) I/O, so `info` on a
     // million-node store entry answers instantly without decoding any
@@ -440,6 +493,9 @@ fn make_sampler(
 ) -> Result<AnySampler, CliError> {
     let burn: usize = args.parse_or("burn-in", 0)?;
     let thin: usize = args.parse_or("thinning", 1)?;
+    if thin == 0 {
+        return Err("--thinning must be positive".into());
+    }
     Ok(match name {
         "uis" => AnySampler::Uis(UniformIndependence),
         "rw" => AnySampler::Rw(RandomWalk::new().burn_in(burn).thinning(thin)),
@@ -457,6 +513,7 @@ fn make_sampler(
 }
 
 fn cmd_sample(args: &Args) -> Result<(), CliError> {
+    args.only("graph sampler cats n burn-in thinning seed out", 0)?;
     let g = load_graph(args.required("graph")?)?;
     let n: usize = args.parse_or("n", 1000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
@@ -493,85 +550,50 @@ fn export(cg: &CategoryGraph, args: &Args) -> Result<(), CliError> {
     save(args.get("out"), &content)
 }
 
-fn cmd_run(argv: &[String]) -> Result<(), CliError> {
-    let mut scenario_path: Option<String> = None;
-    let mut builtin: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_level = 2u8;
-    let mut opts = cgte_scenarios::RunOptions::default();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a file path")?.clone());
-            }
-            "--trace-level" => {
-                let v = it.next().ok_or("--trace-level needs 1, 2 or 3")?;
-                trace_level = v
-                    .parse()
-                    .map_err(|e| format!("invalid --trace-level {v:?}: {e}"))?;
-            }
-            "--quick" => opts.scale = cgte_scenarios::Scale::Quick,
-            "--full" => opts.scale = cgte_scenarios::Scale::Full,
-            "--huge" => opts.scale = cgte_scenarios::Scale::Huge,
-            "--resume" => opts.resume = true,
-            "--builtin" => {
-                builtin = Some(
-                    it.next()
-                        .ok_or("--builtin needs a scenario name (or `all`)")?
-                        .clone(),
-                );
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs an integer")?;
-                opts.seed = Some(
-                    v.parse()
-                        .map_err(|e| format!("invalid --seed {v:?}: {e}"))?,
-                );
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs an integer")?;
-                opts.threads = v
-                    .parse()
-                    .map_err(|e| format!("invalid --threads {v:?}: {e}"))?;
-            }
-            "--csv" => {
-                opts.csv_dir = Some(it.next().ok_or("--csv needs a directory")?.into());
-            }
-            "--out" => {
-                opts.out_dir = Some(it.next().ok_or("--out needs a directory")?.into());
-            }
-            "--cache-dir" => {
-                opts.cache_dir = Some(it.next().ok_or("--cache-dir needs a directory")?.into());
-            }
-            "--mmap" => {
-                let v = it.next().ok_or("--mmap needs true or false")?;
-                opts.mmap = v
-                    .parse()
-                    .map_err(|e| format!("invalid --mmap {v:?}: {e}"))?;
-            }
-            other if !other.starts_with("--") && scenario_path.is_none() => {
-                scenario_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown `run` argument {other:?}\n{USAGE}").into()),
-        }
-    }
+fn cmd_run(args: &Args) -> Result<(), CliError> {
+    use cgte_scenarios::Scale;
+    args.only(
+        "builtin quick full huge seed threads csv out resume cache-dir mmap trace trace-level",
+        1,
+    )?;
+    let scale = match (
+        args.switch("quick"),
+        args.switch("full"),
+        args.switch("huge"),
+    ) {
+        (false, false, false) => Scale::Default,
+        (true, false, false) => Scale::Quick,
+        (false, true, false) => Scale::Full,
+        (false, false, true) => Scale::Huge,
+        _ => return Err("pass at most one of --quick, --full, --huge".into()),
+    };
+    let opts = cgte_scenarios::RunOptions {
+        scale,
+        seed: args.parse_opt("seed")?,
+        csv_dir: args.get("csv").map(Into::into),
+        threads: args.parse_or("threads", 0)?,
+        out_dir: args.get("out").map(Into::into),
+        resume: args.switch("resume"),
+        cache_dir: args.get("cache-dir").map(Into::into),
+        mmap: args.parse_or("mmap", false)?,
+        ..cgte_scenarios::RunOptions::default()
+    };
     if opts.resume && opts.out_dir.is_none() {
         return Err("--resume requires --out DIR (the run directory holding the manifest)".into());
     }
-    install_trace(trace_path.as_deref(), trace_level)?;
+    install_trace(args.get("trace"), args.parse_or("trace-level", 2u8)?)?;
     // The `cache: builds=… loads=… hits=…` stderr lines are a stable,
     // grep-able contract: CI's warm-cache job asserts `builds=0` on them.
-    match (scenario_path, builtin) {
+    match (args.positional(0), args.get("builtin")) {
         (Some(path), None) => {
-            let stats = cgte_scenarios::run_scenario_path(std::path::Path::new(&path), &opts)?;
+            let stats = cgte_scenarios::run_scenario_path(std::path::Path::new(path), &opts)?;
             eprintln!(
                 "run complete: cache: builds={} loads={} hits={}",
                 stats.builds, stats.loads, stats.hits
             );
             Ok(())
         }
-        (None, Some(name)) if name == "all" => {
+        (None, Some("all")) => {
             let mut total = cgte_scenarios::CacheStats::default();
             for name in cgte_scenarios::builtin_names() {
                 eprintln!("=== {name} ===");
@@ -597,7 +619,7 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         (None, Some(name)) => {
-            let stats = cgte_scenarios::run_builtin(&name, &opts)?;
+            let stats = cgte_scenarios::run_builtin(name, &opts)?;
             eprintln!(
                 "run complete: cache: builds={} loads={} hits={}",
                 stats.builds, stats.loads, stats.hits
@@ -612,19 +634,11 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    args.only(&[
-        "cache-dir",
-        "port",
-        "addr",
-        "threads",
-        "session-ttl",
-        "max-sessions",
-        "mmap",
-        "request-timeout-ms",
-        "max-body-bytes",
-        "trace",
-        "trace-level",
-    ])?;
+    args.only(
+        "cache-dir port addr threads session-ttl max-sessions mmap request-timeout-ms \
+         max-body-bytes trace trace-level",
+        0,
+    )?;
     let cache_dir = args.required("cache-dir")?;
     let addr = match (args.get("addr"), args.get("port")) {
         (Some(_), Some(_)) => return Err("pass either --addr or --port, not both".into()),
@@ -642,13 +656,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         return Err("--threads must be positive".into());
     }
     let defaults = cgte_serve::ServeConfig::default();
-    let session_ttl_secs = match args.get("session-ttl") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|e| format!("invalid --session-ttl {v:?}: {e}"))?,
-        ),
-    };
+    let session_ttl_secs = args.parse_opt("session-ttl")?;
     let max_sessions: usize = args.parse_or("max-sessions", defaults.max_sessions)?;
     if max_sessions == 0 {
         return Err("--max-sessions must be positive".into());
@@ -681,6 +689,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 fn cmd_cluster(args: &Args) -> Result<(), CliError> {
     use cgte_serve::cluster::{self, ClusterConfig, RetryPolicy};
 
+    args.only(
+        "cache-dir graph shards partition sampler design seed burn-in thinning walkers steps \
+         batch snapshot-every round-threads timeout-ms retries verify trace trace-level",
+        0,
+    )?;
     let cache_dir = args.required("cache-dir")?;
     let graph_name = args.required("graph")?.to_string();
     let shards: Vec<String> = args
@@ -713,7 +726,7 @@ fn cmd_cluster(args: &Args) -> Result<(), CliError> {
         snapshot_every: args.parse_or("snapshot-every", 1usize)?,
         round_threads: args.parse_or("round-threads", 1usize)?,
         policy,
-        jitter_seed: args.parse_or("jitter-seed", 0u64)?,
+        jitter_seed: 0,
     };
     if cfg.round_threads == 0 {
         return Err("--round-threads must be positive".into());
@@ -827,62 +840,41 @@ fn cmd_cluster(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
-    let mut opts = cgte_bench::harness::BenchOptions::default();
-    let mut baseline: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--cache-dir" => {
-                opts.cache_dir = Some(it.next().ok_or("--cache-dir needs a directory")?.into());
-            }
-            "--check" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or("--check needs a baseline JSON path")?
-                        .clone(),
-                );
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs an integer")?;
-                opts.seed = v
-                    .parse()
-                    .map_err(|e| format!("invalid --seed {v:?}: {e}"))?;
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or("--threads needs a comma list, e.g. 1,2,8")?;
-                opts.threads = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("invalid --threads entry {s:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if opts.threads.first() != Some(&1) || opts.threads.contains(&0) {
-                    return Err(
-                        "--threads must start with 1 (the serial reference) and contain only positive counts"
-                            .into(),
-                    );
-                }
-            }
-            "--out" => {
-                opts.out = it.next().ok_or("--out needs a file path")?.into();
-            }
-            other => return Err(format!("unknown `bench` argument {other:?}\n{USAGE}").into()),
+fn cmd_bench(args: &Args) -> Result<(), CliError> {
+    args.only("quick seed threads out cache-dir check", 0)?;
+    let mut opts = cgte_bench::harness::BenchOptions {
+        quick: args.switch("quick"),
+        cache_dir: args.get("cache-dir").map(Into::into),
+        ..Default::default()
+    };
+    opts.seed = args.parse_or("seed", opts.seed)?;
+    if let Some(out) = args.get("out") {
+        opts.out = out.into();
+    }
+    if let Some(list) = args.get("threads") {
+        opts.threads = list
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse::<usize>()
+                    .map_err(|e| format!("invalid --threads entry {s:?}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if opts.threads.first() != Some(&1) || opts.threads.contains(&0) {
+            return Err(
+                "--threads must start with 1 (the serial reference) and contain only positive counts"
+                    .into(),
+            );
         }
     }
     // The baseline is read before the harness writes `--out`: were they
     // one file, the gate would compare the fresh report with itself.
-    let baseline = match baseline {
+    let baseline = match args.get("check") {
         Some(path) => {
-            let text = std::fs::read_to_string(&path)
+            let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read baseline {path:?}: {e}"))?;
             let canonical = (
-                std::path::Path::new(&path).canonicalize(),
+                std::path::Path::new(path).canonicalize(),
                 opts.out.canonicalize(),
             );
             if matches!(canonical, (Ok(a), Ok(b)) if a == b) {
@@ -925,6 +917,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_exact(args: &Args) -> Result<(), CliError> {
+    args.only("graph cats format top-k out", 0)?;
     let g = load_graph(args.required("graph")?)?;
     let p = load_partition(args.required("cats")?, g.num_nodes())?;
     let cg = CategoryGraph::exact(&g, &p);
@@ -932,6 +925,10 @@ fn cmd_exact(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_estimate(args: &Args) -> Result<(), CliError> {
+    args.only(
+        "graph cats sampler n burn-in thinning seed design sizes ci boot format top-k out",
+        0,
+    )?;
     let g = load_graph(args.required("graph")?)?;
     let p = load_partition(args.required("cats")?, g.num_nodes())?;
     let n: usize = args.parse_or("n", 1000)?;
@@ -964,10 +961,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         est.num_categories(),
         est.num_edges()
     );
-    if let Some(level_raw) = args.get("ci") {
-        let level: f64 = level_raw
-            .parse()
-            .map_err(|e| format!("invalid --ci {level_raw:?}: {e}"))?;
+    if let Some(level) = args.parse_opt::<f64>("ci")? {
         if !(level > 0.0 && level < 1.0) {
             return Err(format!("--ci must be in (0, 1), got {level}").into());
         }

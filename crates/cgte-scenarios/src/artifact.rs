@@ -91,11 +91,16 @@ impl Json {
     }
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document (a serve request body) overflow the stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses a JSON document nested at most [`MAX_JSON_DEPTH`] deep.
 pub fn parse_json(text: &str) -> Result<Json, EngineError> {
     let chars: Vec<char> = text.chars().collect();
     let mut pos = 0;
-    let v = json_value(&chars, &mut pos)?;
+    let v = json_value(&chars, &mut pos, MAX_JSON_DEPTH)?;
     json_ws(&chars, &mut pos);
     if pos != chars.len() {
         return Err(EngineError::msg("trailing characters after JSON value"));
@@ -109,9 +114,13 @@ fn json_ws(b: &[char], pos: &mut usize) {
     }
 }
 
-fn json_value(b: &[char], pos: &mut usize) -> Result<Json, EngineError> {
+/// Parses one value; `depth` is how many more arrays/objects may open.
+fn json_value(b: &[char], pos: &mut usize, depth: usize) -> Result<Json, EngineError> {
     json_ws(b, pos);
     match b.get(*pos) {
+        Some('{' | '[') if depth == 0 => Err(EngineError::msg(format!(
+            "JSON nested deeper than {MAX_JSON_DEPTH} levels"
+        ))),
         Some('{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -128,7 +137,7 @@ fn json_value(b: &[char], pos: &mut usize) -> Result<Json, EngineError> {
                     *pos += 1;
                     json_ws(b, pos);
                 }
-                let Json::Str(key) = json_value(b, pos)? else {
+                let Json::Str(key) = json_value(b, pos, depth - 1)? else {
                     return Err(EngineError::msg("object key must be a string"));
                 };
                 json_ws(b, pos);
@@ -136,7 +145,7 @@ fn json_value(b: &[char], pos: &mut usize) -> Result<Json, EngineError> {
                     return Err(EngineError::msg("expected ':' after object key"));
                 }
                 *pos += 1;
-                fields.push((key, json_value(b, pos)?));
+                fields.push((key, json_value(b, pos, depth - 1)?));
             }
         }
         Some('[') => {
@@ -154,7 +163,7 @@ fn json_value(b: &[char], pos: &mut usize) -> Result<Json, EngineError> {
                     }
                     *pos += 1;
                 }
-                items.push(json_value(b, pos)?);
+                items.push(json_value(b, pos, depth - 1)?);
             }
         }
         Some('"') => {
@@ -856,6 +865,22 @@ impl RunDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_parse_error() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse_json(&nested("[", "]", MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nested("{\"k\":", "}", MAX_JSON_DEPTH).replace(":}", ":1}")).is_ok());
+        for deep in [
+            nested("[", "]", MAX_JSON_DEPTH + 1),
+            "[".repeat(200_000),
+            "{".repeat(200_000),
+            "{\"k\":".repeat(200_000),
+        ] {
+            let err = parse_json(&deep).unwrap_err();
+            assert!(err.msg.contains("nested deeper than 128"), "{}", err.msg);
+        }
+    }
 
     #[test]
     fn experiment_output_roundtrips_exactly() {

@@ -100,7 +100,7 @@ pub fn reporter_for(name: &str) -> Option<Reporter> {
         .map(|(_, _, r)| *r)
 }
 
-/// Runs a builtin end to end (the figure-binary shims call this).
+/// Runs a builtin end to end (`cgte run --builtin NAME`).
 pub fn run_builtin(name: &str, opts: &RunOptions) -> Result<CacheStats, EngineError> {
     let scn = builtin_scenario(name)
         .ok_or_else(|| EngineError::msg(format!("unknown builtin scenario {name:?}")))?;

@@ -18,9 +18,9 @@
 //! 4. **persists** every job's series as CSV + JSON under a run directory
 //!    with a manifest ([`artifact`]), so `--resume` re-executes only
 //!    incomplete jobs;
-//! 5. **reports** ([`report`], [`builtins`]): the ten figure/table binaries
-//!    are thin shims over embedded built-in scenarios whose reporters
-//!    reproduce the original table output byte-for-byte.
+//! 5. **reports** ([`report`], [`builtins`]): the paper's ten figures and
+//!    tables are embedded built-in scenarios (`cgte run --builtin NAME`)
+//!    whose reporters reproduce the original table output byte-for-byte.
 //!
 //! See `EXPERIMENTS.md` at the repository root for the `.scn` format
 //! reference and the default-scale outputs of every built-in scenario.
@@ -53,7 +53,7 @@ pub use value::Value;
 use std::path::PathBuf;
 
 /// Run scale selected on the command line; the three parameter tiers
-/// every figure binary historically supported, plus the million-node
+/// the figure binaries historically supported, plus the million-node
 /// `huge` tier served by the parallel generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -81,8 +81,7 @@ impl Scale {
     }
 }
 
-/// Engine options shared by every entry point (the `cgte run` subcommand
-/// and the figure-binary shims).
+/// Engine options of the `cgte run` subcommand.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Parameter tier.

@@ -31,8 +31,8 @@ pub fn log_sizes(lo: usize, hi: usize, points: usize) -> Vec<usize> {
 }
 
 /// Prints tables and saves CSV/SVG artifacts exactly like the legacy
-/// `RunArgs::emit`/`emit_plot` methods did, so refactored binaries emit
-/// byte-identical output.
+/// hand-coded figure binaries did, so every builtin's stdout stays
+/// byte-identical to its golden.
 #[derive(Debug, Clone, Default)]
 pub struct Emitter {
     /// Where to dump CSV series and plots, if requested (`--csv DIR`).
@@ -245,4 +245,23 @@ fn sanitize_name(id: &str) -> String {
     id.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn log_sizes_spans_range() {
+        let v = log_sizes(100, 10_000, 5);
+        assert_eq!(v.first(), Some(&100));
+        assert_eq!(v.last(), Some(&10_000));
+        assert!(v.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn fmt_nrmse_handles_nan() {
+        assert_eq!(fmt_nrmse(f64::NAN), "-");
+        assert_eq!(fmt_nrmse(0.12345), "0.1235");
+    }
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the event-driven connection engine: fresh
 //! requests under `connections >> threads`, the slowloris read deadline
-//! (408), the request-body cap (413), request framing that answers one
-//! request exactly once, and the connection-health metric families.
+//! (408), the request-body cap (413), the JSON nesting cap (400),
+//! request framing that answers one request exactly once, and the
+//! connection-health metric families.
 
 mod common;
 
@@ -183,6 +184,26 @@ fn oversized_bodies_are_rejected_with_413_on_both_engines() {
     let mut c = Client::connect(server.addr()).unwrap();
     let (st, _) = c.request("POST", "/sessions", &"x".repeat(1024)).unwrap();
     assert_eq!(st, 400);
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deeply nested JSON body is a typed 400, not a stack overflow that
+/// aborts the process: the server keeps answering afterwards.
+#[test]
+fn deeply_nested_json_body_is_a_400_and_the_server_stays_up() {
+    let dir = temp_store("deep");
+    let server = Server::bind(&config(&dir)).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (st, body) = c
+        .request("POST", "/sessions", &"[".repeat(200_000))
+        .unwrap();
+    assert_eq!(st, 400, "{body}");
+    assert!(body.contains("nested deeper than"), "{body}");
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (st, body) = c.request("GET", "/healthz", "").unwrap();
+    assert_eq!(st, 200, "{body}");
     server.shutdown();
     server.join();
     std::fs::remove_dir_all(&dir).ok();
