@@ -12,7 +12,7 @@
 //!   `push(node)` in `O(deg)` and an `O(C²)` snapshot, so growing-prefix
 //!   protocols walk a sampled sequence *once* instead of re-observing every
 //!   prefix. Backed by an [`ObservationContext`] that caches each node's
-//!   neighbor-category histogram across replications.
+//!   neighbor-category histogram and cut row across replications.
 
 use crate::NodeSampler;
 use cgte_graph::{CategoryId, CategoryMatrix, Graph, NodeId, Partition};
@@ -238,7 +238,9 @@ impl StarSample {
         for &v in nodes {
             if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(v) {
                 e.insert(arena.len());
-                arena.push(scratch.histogram(g, p, v));
+                let mut hist = Vec::new();
+                scratch.append_row(g, p, v, &mut hist, |_, _| {});
+                arena.push(hist);
             }
         }
         let neighbor_cats: Vec<Vec<(CategoryId, u32)>> =
@@ -367,69 +369,114 @@ impl HistogramScratch {
         }
     }
 
-    /// The sorted sparse histogram of `v`'s neighbor categories.
-    fn histogram(&mut self, g: &Graph, p: &Partition, v: NodeId) -> Vec<(CategoryId, u32)> {
+    /// Appends the sorted sparse histogram of `v`'s neighbor categories to
+    /// `hist`, calling `each` with every neighbor and its category on the
+    /// way, in adjacency (ascending id) order.
+    fn append_row(
+        &mut self,
+        g: &Graph,
+        p: &Partition,
+        v: NodeId,
+        hist: &mut Vec<(CategoryId, u32)>,
+        mut each: impl FnMut(NodeId, CategoryId),
+    ) {
         for &u in g.neighbors(v) {
             let c = p.category_of(u);
             if self.counts[c as usize] == 0 {
                 self.touched.push(c);
             }
             self.counts[c as usize] += 1;
+            each(u, c);
         }
         self.touched.sort_unstable();
-        let hist: Vec<(CategoryId, u32)> = self
-            .touched
-            .iter()
-            .map(|&c| (c, self.counts[c as usize]))
-            .collect();
+        hist.extend(self.touched.iter().map(|&c| (c, self.counts[c as usize])));
         for &c in &self.touched {
             self.counts[c as usize] = 0;
         }
         self.touched.clear();
-        hist
     }
 }
 
 /// The owned, shareable half of an [`ObservationContext`]: every node's
-/// sorted neighbor-category histogram in one CSR arena.
+/// sorted neighbor-category histogram and its *cut row*, in two CSR
+/// arenas.
 ///
-/// Built once in `O(E + N)`. Long-lived consumers (the `cgte-serve`
-/// estimation service) build one index per (graph, partition), keep it in
-/// an `Arc`, and stamp out cheap [`ObservationContext::with_index`] views
-/// per request — the index has no borrow of the graph, so it composes with
-/// `Arc`-held graphs where the borrowing context cannot.
+/// A node's cut row lists its neighbors in another category, in ascending
+/// id order — the ids behind the paper's edge cuts `|E_{v,B}|`, `B` not
+/// `v`'s category. It is all the induced push reads (Eq. (8)/(15) count
+/// only edges between different categories), and it is symmetric:
+/// `u ∈ cut(v) ⇔ v ∈ cut(u)`. On a homophilous partition most rows are
+/// empty.
+///
+/// Built once in `O(E + N)`, in one scan per node that fills both rows.
+/// Long-lived consumers (the `cgte-serve` estimation service) build one
+/// index per (graph, partition), keep it in an `Arc`, and stamp out cheap
+/// [`ObservationContext::with_index`] views per request — the index has no
+/// borrow of the graph, so it composes with `Arc`-held graphs where the
+/// borrowing context cannot.
+///
+/// Memory is 8 bytes per node for a pair of `u32` row offsets, one into
+/// each arena, 8 bytes per distinct (node, neighbor category) entry and 4
+/// bytes per cut-row entry. Both arenas are therefore limited to
+/// `u32::MAX` entries, which [`NeighborCategoryIndex::build_range`] and
+/// [`NeighborCategoryIndex::merge`] check.
 ///
 /// Indexes over *disjoint node ranges* of the same graph can be
 /// [`NeighborCategoryIndex::merge`]d: `build_range(0..k) ⊕ build_range(k..n)`
-/// is bit-identical to `build_range(0..n)` (counts are exact integers), so
-/// construction parallelizes over node chunks.
+/// is bit-identical to `build_range(0..n)` (counts and ids are exact
+/// integers), so construction parallelizes over node chunks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborCategoryIndex {
     num_categories: usize,
     /// First node id covered (`build` starts at 0).
     start: NodeId,
-    /// `offsets[v - start]..offsets[v - start + 1]` indexes `entries`.
-    offsets: Vec<usize>,
+    /// Row `i = v - start` spans `offsets[i].0..offsets[i + 1].0` of
+    /// `entries` and `offsets[i].1..offsets[i + 1].1` of `cut`; one load
+    /// fetches both starts.
+    offsets: Vec<(u32, u32)>,
     /// Concatenated sorted `(category, count)` histograms.
     entries: Vec<(CategoryId, u32)>,
+    /// Concatenated cut rows, each in ascending id order.
+    cut: Vec<NodeId>,
+}
+
+const ARENA_OVERFLOW: &str = "neighbor-category index exceeds u32 offsets";
+
+/// `len` as an arena offset.
+///
+/// # Panics
+/// Panics if `len` exceeds the `u32` offsets of a [`NeighborCategoryIndex`].
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect(ARENA_OVERFLOW)
+}
+
+/// `o` moved past `base` earlier arena entries.
+///
+/// # Panics
+/// Panics if the sum exceeds the `u32` offsets of a
+/// [`NeighborCategoryIndex`].
+fn shift(base: u32, o: u32) -> u32 {
+    base.checked_add(o).expect(ARENA_OVERFLOW)
 }
 
 impl NeighborCategoryIndex {
-    /// Precomputes the neighbor-category histogram of every node.
+    /// Precomputes the neighbor-category histogram and cut row of every
+    /// node.
     ///
     /// # Panics
-    /// Panics if the partition does not cover the graph.
+    /// Panics if the partition does not cover the graph, or an arena
+    /// exceeds `u32` offsets.
     pub fn build(g: &Graph, p: &Partition) -> Self {
         Self::build_range(g, p, 0, g.num_nodes() as NodeId)
     }
 
-    /// Precomputes the histograms of nodes `lo..hi` only — one shard of a
+    /// Precomputes the rows of nodes `lo..hi` only — one shard of a
     /// chunked parallel build, recombined with
     /// [`NeighborCategoryIndex::merge`].
     ///
     /// # Panics
     /// Panics if the partition does not cover the graph or `lo > hi` or
-    /// `hi` exceeds the node count.
+    /// `hi` exceeds the node count, or an arena exceeds `u32` offsets.
     pub fn build_range(g: &Graph, p: &Partition, lo: NodeId, hi: NodeId) -> Self {
         p.check_covers(g).expect("partition must cover graph");
         assert!(
@@ -437,18 +484,25 @@ impl NeighborCategoryIndex {
             "node range {lo}..{hi} out of bounds"
         );
         let mut offsets = Vec::with_capacity((hi - lo) as usize + 1);
-        offsets.push(0usize);
+        offsets.push((0, 0));
         let mut entries = Vec::new();
+        let mut cut = Vec::new();
         let mut scratch = HistogramScratch::new(p.num_categories());
         for v in lo..hi {
-            entries.extend(scratch.histogram(g, p, v));
-            offsets.push(entries.len());
+            let cv = p.category_of(v);
+            scratch.append_row(g, p, v, &mut entries, |u, c| {
+                if c != cv {
+                    cut.push(u);
+                }
+            });
+            offsets.push((arena_offset(entries.len()), arena_offset(cut.len())));
         }
         NeighborCategoryIndex {
             num_categories: p.num_categories(),
             start: lo,
             offsets,
             entries,
+            cut,
         }
     }
 
@@ -457,8 +511,8 @@ impl NeighborCategoryIndex {
     /// merged in order is bit-identical to a monolithic one.
     ///
     /// # Panics
-    /// Panics if the ranges are not adjacent or the category counts
-    /// differ.
+    /// Panics if the ranges are not adjacent, the category counts differ,
+    /// or a merged arena exceeds `u32` offsets.
     pub fn merge(&mut self, other: &NeighborCategoryIndex) {
         assert_eq!(
             self.num_categories, other.num_categories,
@@ -469,10 +523,17 @@ impl NeighborCategoryIndex {
             other.start,
             "merged index ranges must be adjacent"
         );
-        let base = self.entries.len();
+        let (entries, cut) = (
+            arena_offset(self.entries.len()),
+            arena_offset(self.cut.len()),
+        );
         self.entries.extend_from_slice(&other.entries);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.cut.extend_from_slice(&other.cut);
+        self.offsets.extend(
+            other.offsets[1..]
+                .iter()
+                .map(|&(e, c)| (shift(entries, e), shift(cut, c))),
+        );
     }
 
     /// First node id covered.
@@ -500,7 +561,18 @@ impl NeighborCategoryIndex {
     #[inline]
     pub fn neighbor_categories(&self, v: NodeId) -> &[(CategoryId, u32)] {
         let i = (v - self.start) as usize;
-        &self.entries[self.offsets[i]..self.offsets[i + 1]]
+        &self.entries[self.offsets[i].0 as usize..self.offsets[i + 1].0 as usize]
+    }
+
+    /// The cut row of `v`: its neighbors in another category, ascending
+    /// (with multiplicity, as in the adjacency row).
+    ///
+    /// # Panics
+    /// Panics if `v` is outside the covered range.
+    #[inline]
+    pub fn cut_neighbors(&self, v: NodeId) -> &[NodeId] {
+        let i = (v - self.start) as usize;
+        &self.cut[self.offsets[i].1 as usize..self.offsets[i + 1].1 as usize]
     }
 }
 
@@ -527,7 +599,8 @@ pub struct ObservationContext<'a> {
 }
 
 impl<'a> ObservationContext<'a> {
-    /// Precomputes the neighbor-category histogram of every node.
+    /// Precomputes the neighbor-category histogram and cut row of every
+    /// node.
     ///
     /// # Panics
     /// Panics if the partition does not cover the graph.
@@ -586,9 +659,22 @@ impl<'a> ObservationContext<'a> {
     /// per-node edge cuts `|E_{v,C}|` for every category `C`.
     #[inline]
     pub fn neighbor_categories(&self, v: NodeId) -> &[(CategoryId, u32)] {
+        self.index().neighbor_categories(v)
+    }
+
+    /// The cached cut row of `v`: its neighbors in another category,
+    /// ascending — the ids behind the edge cuts `|E_{v,B}|`.
+    #[inline]
+    pub fn cut_neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.index().cut_neighbors(v)
+    }
+
+    /// The index, owned or borrowed.
+    #[inline]
+    fn index(&self) -> &NeighborCategoryIndex {
         match &self.index {
-            IndexRef::Owned(idx) => idx.neighbor_categories(v),
-            IndexRef::Borrowed(idx) => idx.neighbor_categories(v),
+            IndexRef::Owned(idx) => idx,
+            IndexRef::Borrowed(idx) => idx,
         }
     }
 }
@@ -620,9 +706,12 @@ impl<'a> ObservationContext<'a> {
 pub struct StarAccumulator {
     num_categories: usize,
     len: usize,
-    /// The pushed `(node, weight)` sequence, in order — the stream's one
-    /// push log.
-    log: Vec<(NodeId, f64)>,
+    /// The pushed nodes, in order — with `log_weights`, the stream's one
+    /// push log, kept as two columns (12 bytes per sample, not a padded
+    /// 16-byte pair).
+    log_nodes: Vec<NodeId>,
+    /// The pushed design weights, parallel to `log_nodes`.
+    log_weights: Vec<f64>,
     /// `Σ_s |E_{s,c}| / w(s)` per category — the Eq. (7)/(13) numerators.
     nbr_mass: Vec<f64>,
     /// `Σ_s deg(s) / w(s)`.
@@ -643,7 +732,8 @@ impl StarAccumulator {
         StarAccumulator {
             num_categories,
             len: 0,
-            log: Vec::new(),
+            log_nodes: Vec::new(),
+            log_weights: Vec::new(),
             nbr_mass: vec![0.0; num_categories],
             deg_mass: 0.0,
             inv_mass: 0.0,
@@ -656,7 +746,8 @@ impl StarAccumulator {
     /// Clears all sums, keeping allocations (per-thread scratch reuse).
     pub fn reset(&mut self) {
         self.len = 0;
-        self.log.clear();
+        self.log_nodes.clear();
+        self.log_weights.clear();
         self.nbr_mass.fill(0.0);
         self.deg_mass = 0.0;
         self.inv_mass = 0.0;
@@ -669,20 +760,26 @@ impl StarAccumulator {
     pub fn heap_bytes(&self) -> usize {
         let f64s =
             self.nbr_mass.capacity() + self.inv_mass_in.capacity() + self.deg_mass_in.capacity();
-        self.log.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + f64s * std::mem::size_of::<f64>()
+        self.log_nodes.capacity() * std::mem::size_of::<NodeId>()
+            + (self.log_weights.capacity() + f64s) * std::mem::size_of::<f64>()
             + self.weight_num.heap_bytes()
     }
 
-    /// The pushed `(node, weight)` sequence, in order. This is what
-    /// [`ObservationStream::merge`] replays, what snapshots persist, and
-    /// what consumers needing a materialized observation (bootstrap
-    /// resampling) re-observe from.
+    /// Reserves log space for `additional` more pushes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.log_nodes.reserve(additional);
+        self.log_weights.reserve(additional);
+    }
+
+    /// The pushed nodes and their design weights, in order, as two
+    /// parallel slices. This is what [`ObservationStream::merge`] replays,
+    /// what snapshots persist, and what consumers needing a materialized
+    /// observation (bootstrap resampling) re-observe from.
     ///
     /// [`ObservationStream::merge`]: crate::ObservationStream::merge
     #[inline]
-    pub fn log(&self) -> &[(NodeId, f64)] {
-        &self.log
+    pub fn log(&self) -> (&[NodeId], &[f64]) {
+        (&self.log_nodes, &self.log_weights)
     }
 
     /// Folds one sampled node with design weight `w` into the statistics.
@@ -713,7 +810,8 @@ impl StarAccumulator {
         self.inv_mass += 1.0 / w;
         self.inv_mass_in[c as usize] += 1.0 / w;
         self.deg_mass_in[c as usize] += d / w;
-        self.log.push((v, w));
+        self.log_nodes.push(v);
+        self.log_weights.push(w);
         self.len += 1;
     }
 
@@ -774,13 +872,16 @@ impl StarAccumulator {
 
 /// Incremental induced-subgraph statistics (§3.2.1) for growing prefixes.
 ///
-/// [`InducedAccumulator::push`] costs `O(deg)`: it scans the node's
-/// neighbors and, for each neighbor already in the sample, folds the
-/// pair's reweighted contribution into the Eq. (8)/(15) numerator matrix.
-/// The per-node running mass `Σ 1/w` over earlier occurrences makes the
-/// cost independent of how often a walk revisits nodes. Snapshots are
-/// bit-identical to a from-scratch [`InducedSample`]-then-estimate pass
-/// (see `induced_weights_all`, which replays the same summation order).
+/// [`InducedAccumulator::push`] costs `O(|cut(v)| + 64)`: it scans the
+/// node's cut row ([`ObservationContext::cut_neighbors`], its neighbors in
+/// another category) and, for each of them already in the sample, folds
+/// the pair's reweighted contribution into the Eq. (8)/(15) numerator
+/// matrix. Same-category neighbors add nothing to those numerators, so
+/// they are never looked up. The per-node running mass `Σ 1/w` over
+/// earlier occurrences makes the cost independent of how often a walk
+/// revisits nodes. Snapshots are bit-identical to a from-scratch
+/// [`InducedSample`]-then-estimate pass (see `induced_weights_all`, which
+/// replays the same summation order).
 ///
 /// This accumulator keeps no log: [`ObservationStream::merge`] replays the
 /// stream's one log ([`StarAccumulator::log`]) through both accumulators.
@@ -790,30 +891,36 @@ impl StarAccumulator {
 /// `b`'s samples against `a`'s per-node masses recovers the cross-shard
 /// pair contributions of `observe(a ++ b)`.
 ///
-/// **Membership filter and slot pool.** Most neighbors of a sampled node
-/// are not in the sample, so `push` first tests an exact membership bitset
-/// over node ids (one bit per graph node, `n/8` bytes: 125 KB at 1M nodes,
-/// L2-resident). A miss costs one load. Behind the bitset, each 64-node
-/// word owns a chunk of a slot pool that holds its sampled nodes' running
-/// masses and categories in bit order, so a hit's slot is the chunk start
-/// plus the popcount of the word's lower bits (a per-word rank directory,
-/// Jacobson 1989). No hash is computed on the push path, so a client's
-/// choice of node ids cannot build probe chains. A new member is shifted
-/// into its word's chunk; a full chunk moves to one of twice the capacity
-/// (1 up to 64 slots), taken from that class's free list or the end of
-/// the pool, and the old chunk goes onto its own class's free list. A
-/// chunk's capacity is not stored: it is the word's popcount rounded up to
-/// a power of two. A push therefore costs `O(deg + 64)` for any id set.
-/// Per accumulator memory is `n/8` bytes for the bitset, 4 bytes per 64
-/// nodes for the chunk directory, 12 bytes per pool slot (under 4 slots
-/// per distinct sampled node, free chunks included) and 4 bytes per bitset
-/// word that holds a member. Both the bitset and the directory are sized
-/// from the context's graph on first push and grow if the accumulator is
-/// later pushed against a larger graph. [`InducedAccumulator::reset`]
-/// walks the list of words that got a first member and clears only those,
-/// in `O(touched words)` rather than `O(n/64)`, so scratch reuse across
-/// replications stays independent of graph size; a cleared word's stale
-/// directory entry is never read.
+/// **Membership rule.** Only a pushed node with a non-empty cut row
+/// becomes a *member*. Cut rows are symmetric (`u ∈ cut(v) ⇔ v ∈ cut(u)`),
+/// so no scan ever reaches a node whose row is empty, and such a node
+/// needs no running mass. A stream that samples only such nodes — a walk
+/// inside one category — holds no bitset and no slot pool at all.
+///
+/// **Membership filter and slot pool.** Most cut neighbors of a sampled
+/// node are not in the sample, so `push` first tests an exact membership
+/// bitset over node ids (one bit per graph node, `n/8` bytes: 125 KB at
+/// 1M nodes, L2-resident). A miss costs one load. Behind the bitset, each
+/// 64-node word owns a chunk of a slot pool that holds its members'
+/// running masses and categories in bit order, so a hit's slot is the
+/// chunk start plus the popcount of the word's lower bits (a per-word rank
+/// directory, Jacobson 1989). No hash is computed on the push path, so a
+/// client's choice of node ids cannot build probe chains. A new member is
+/// shifted into its word's chunk; a full chunk moves to one of twice the
+/// capacity (1 up to 64 slots), taken from that class's free list or the
+/// end of the pool, and the old chunk goes onto its own class's free list.
+/// A chunk's capacity is not stored: it is the word's popcount rounded up
+/// to a power of two. A push therefore costs `O(|cut(v)| + 64)` for any id
+/// set. Per accumulator memory is `n/8` bytes for the bitset, 4 bytes per
+/// 64 nodes for the chunk directory, 12 bytes per pool slot (under 4 slots
+/// per distinct member, free chunks included) and 4 bytes per bitset word
+/// that holds a member. Both the bitset and the directory are sized from
+/// the context's graph when the first member arrives and grow if the
+/// accumulator is later pushed against a larger graph.
+/// [`InducedAccumulator::reset`] walks the list of words that got a first
+/// member and clears only those, in `O(touched words)` rather than
+/// `O(n/64)`, so scratch reuse across replications stays independent of
+/// graph size; a cleared word's stale directory entry is never read.
 ///
 /// [`ObservationStream::merge`]: crate::ObservationStream::merge
 #[derive(Debug, Clone)]
@@ -824,7 +931,7 @@ pub struct InducedAccumulator {
     per_cat_mass: Vec<f64>,
     /// `w⁻¹(S)`.
     inv_mass: f64,
-    /// Bit `v` is set iff `v` was pushed.
+    /// Bit `v` is set iff `v` was pushed and its cut row is not empty.
     members: Vec<u64>,
     /// The index of every `members` word that holds a member, in the order
     /// the words got their first one — what `reset` clears.
@@ -834,10 +941,10 @@ pub struct InducedAccumulator {
     /// live, in bit order, and its capacity is that count rounded up to a
     /// power of two.
     chunk_start: Vec<u32>,
-    /// Running `Σ 1/w` over the occurrences of each sampled node, by slot.
+    /// Running `Σ 1/w` over the occurrences of each member, by slot.
     mass: Vec<f64>,
-    /// The category of each sampled node, by slot, as the partition gave
-    /// it when the node was first pushed.
+    /// The category of each member, by slot, as the partition gave it
+    /// when the node was first pushed.
     cat: Vec<CategoryId>,
     /// Released chunk starts per capacity class (`cap == 1 << class`).
     free: [Vec<u32>; CHUNK_CLASSES],
@@ -900,7 +1007,8 @@ impl InducedAccumulator {
 
     /// Heap bytes held: the membership bitset with its touched-word list,
     /// the chunk directory, the slot pool with its free lists, and the
-    /// `O(C²)` sums.
+    /// `O(C²)` sums. The first four stay empty until a pushed node has a
+    /// non-empty cut row.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.members.capacity() * size_of::<u64>()
@@ -930,32 +1038,36 @@ impl InducedAccumulator {
         );
         let c = ctx.partition().category_of(v);
         let w_inv = 1.0 / w;
-        let words = ctx.graph().num_nodes().div_ceil(64);
-        if self.members.len() < words {
-            self.members.resize(words, 0);
-            self.chunk_start.resize(words, 0);
-        }
-        // Neighbors are scanned in ascending node-id order; the running
-        // mass of each adjacent sampled node aggregates all its earlier
-        // occurrences, matching the grouped summation order of the
-        // from-scratch `induced_weights_all` exactly. A clear bit means
-        // `u` is not in the sample; a set bit's rank in its word locates
-        // `u`'s slot, which also holds its category.
-        for &u in ctx.graph().neighbors(v) {
-            let i = u as usize / 64;
-            let word = self.members[i];
-            let bit = 1 << (u % 64);
-            if word & bit == 0 {
-                continue;
+        let cut = ctx.cut_neighbors(v);
+        // A node with an empty cut row is in no other node's cut row, so
+        // no scan can reach it: it gets no bit and no slot.
+        if !cut.is_empty() {
+            let words = ctx.graph().num_nodes().div_ceil(64);
+            if self.members.len() < words {
+                self.members.resize(words, 0);
+                self.chunk_start.resize(words, 0);
             }
-            let slot = self.chunk_start[i] as usize + (word & (bit - 1)).count_ones() as usize;
-            let cu = self.cat[slot];
-            if cu != c {
-                self.weight_num.add(c, cu, w_inv * self.mass[slot]);
+            // The cut row is the adjacency row without same-category
+            // neighbors, still in ascending node-id order; the running
+            // mass of each adjacent sampled node aggregates all its earlier
+            // occurrences, matching the grouped summation order of the
+            // from-scratch `induced_weights_all` exactly. A clear bit means
+            // `u` is not in the sample; a set bit's rank in its word
+            // locates `u`'s slot, which also holds its category.
+            for &u in cut {
+                let i = u as usize / 64;
+                let word = self.members[i];
+                let bit = 1 << (u % 64);
+                if word & bit == 0 {
+                    continue;
+                }
+                let slot = self.chunk_start[i] as usize + (word & (bit - 1)).count_ones() as usize;
+                self.weight_num
+                    .add(c, self.cat[slot], w_inv * self.mass[slot]);
             }
+            let slot = self.slot_or_insert(v, c);
+            self.mass[slot] += w_inv;
         }
-        let slot = self.slot_or_insert(v, c);
-        self.mass[slot] += w_inv;
         self.per_cat_mass[c as usize] += w_inv;
         self.inv_mass += w_inv;
         self.len += 1;

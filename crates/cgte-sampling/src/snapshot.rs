@@ -43,17 +43,11 @@ pub const SEC_CATEGORIES: &str = "log.categories";
 /// The stream keeps one log for both wrapped accumulators, so it
 /// reconstructs the pair.
 pub fn stream_sections(stream: &ObservationStream) -> Vec<Section> {
-    let log = stream.log();
-    let mut nodes = Vec::with_capacity(log.len());
-    let mut weights = Vec::with_capacity(log.len());
-    for &(v, w) in log {
-        nodes.push(v);
-        weights.push(w);
-    }
+    let (nodes, weights) = stream.log();
     vec![
         Section::u64s(SEC_CATEGORIES, vec![stream.num_categories() as u64]),
-        Section::u32s(SEC_LOG_NODES, nodes),
-        Section::f64s(SEC_LOG_WEIGHTS, weights),
+        Section::u32s(SEC_LOG_NODES, nodes.to_vec()),
+        Section::f64s(SEC_LOG_WEIGHTS, weights.to_vec()),
     ]
 }
 

@@ -50,7 +50,9 @@ use cgte_graph::NodeId;
 /// The stream keeps one `(node, weight)` push log, held by the star
 /// accumulator; the induced accumulator keeps none. That one log is what
 /// [`ObservationStream::merge`] replays and what snapshots persist, and
-/// [`ObservationStream::log`] exposes it.
+/// [`ObservationStream::log`] exposes it. Batch ingests and merges reserve
+/// the batch's log entries before pushing, so a stream filled in one batch
+/// (a snapshot replay) holds a log of exactly its length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservationStream {
     star: StarAccumulator,
@@ -73,9 +75,12 @@ impl ObservationStream {
         self.induced.reset();
     }
 
-    /// Heap bytes held by both accumulators: the one push log, the induced
-    /// membership bitset, chunk directory and slot pool (under 4 slots of
-    /// 12 bytes per distinct sampled node), and the `O(C²)` sums.
+    /// Heap bytes held by both accumulators: the one push log (12 bytes per
+    /// sample), the induced membership bitset (`n/8` bytes), chunk
+    /// directory (`n/16` bytes) and slot pool (under 4 slots of 12 bytes per
+    /// member), and the `O(C²)` sums. Members are the sampled nodes with a
+    /// non-empty cut row; until the first one arrives the bitset, directory
+    /// and pool hold nothing.
     pub fn heap_bytes(&self) -> usize {
         self.star.heap_bytes() + self.induced.heap_bytes()
     }
@@ -99,6 +104,7 @@ impl ObservationStream {
     /// contract per element).
     pub fn ingest(&mut self, ctx: &ObservationContext<'_>, nodes: &[NodeId], weights: &[f64]) {
         assert_eq!(weights.len(), nodes.len(), "one weight per sample");
+        self.star.reserve(nodes.len());
         for (&v, &w) in nodes.iter().zip(weights) {
             self.push(ctx, v, w);
         }
@@ -106,6 +112,7 @@ impl ObservationStream {
 
     /// Ingests a batch under a uniform design (all weights 1).
     pub fn ingest_uniform(&mut self, ctx: &ObservationContext<'_>, nodes: &[NodeId]) {
+        self.star.reserve(nodes.len());
         for &v in nodes {
             self.push(ctx, v, 1.0);
         }
@@ -122,6 +129,7 @@ impl ObservationStream {
         sampler: &S,
         design: DesignKind,
     ) {
+        self.star.reserve(nodes.len());
         for &v in nodes {
             let w = match design {
                 DesignKind::Uniform => 1.0,
@@ -145,9 +153,8 @@ impl ObservationStream {
             other.num_categories(),
             "merged accumulators must share a category count"
         );
-        for &(v, w) in other.log() {
-            self.push(ctx, v, w);
-        }
+        let (nodes, weights) = other.log();
+        self.ingest(ctx, nodes, weights);
     }
 
     /// Number of ingested samples.
@@ -180,9 +187,10 @@ impl ObservationStream {
         &self.induced
     }
 
-    /// The ingested `(node, weight)` sequence, in order.
+    /// The ingested nodes and their design weights, in order, as two
+    /// parallel slices.
     #[inline]
-    pub fn log(&self) -> &[(NodeId, f64)] {
+    pub fn log(&self) -> (&[NodeId], &[f64]) {
         self.star.log()
     }
 }
@@ -214,7 +222,7 @@ mod tests {
         // The bridge edge shows up in both scenarios' cross numerators.
         assert!(s.star().weight_numerators().get(0, 1) > 0.0);
         assert!(s.induced().weight_numerators().get(0, 1) > 0.0);
-        assert_eq!(s.log(), &[(2, 1.0), (3, 1.0)]);
+        assert_eq!(s.log(), (&[2, 3][..], &[1.0, 1.0][..]));
         s.reset();
         assert!(s.is_empty());
     }
@@ -233,7 +241,34 @@ mod tests {
             s.push(&ctx, 2, 1.0);
         }
         assert_eq!(s.induced().heap_bytes(), heap);
-        assert_eq!(s.log().len(), 10_000);
+        assert_eq!(s.log().0.len(), 10_000);
+    }
+
+    /// Under one category every cut row is empty, so no sampled node
+    /// becomes a member: after 10k pushes the induced accumulator holds no
+    /// bitset and no slot pool, whether pushed one by one or ingested as a
+    /// batch, and the batch's log is reserved to exactly its length.
+    #[test]
+    fn single_category_stream_holds_no_slot_pool() {
+        use rand::SeedableRng;
+        let (g, _) = fixture();
+        let p = Partition::from_assignments(vec![0; 6], 1).unwrap();
+        let ctx = ObservationContext::new(&g, &p);
+        let nodes = RandomWalk::new().sample(&g, 10_000, &mut rand::rngs::StdRng::seed_from_u64(3));
+        let mut pushed = ObservationStream::new(1);
+        for &v in &nodes {
+            pushed.push(&ctx, v, 1.0);
+        }
+        let mut batch = ObservationStream::new(1);
+        batch.ingest_uniform(&ctx, &nodes);
+        assert_eq!(pushed, batch);
+        let empty = InducedAccumulator::new(1).heap_bytes();
+        assert_eq!(pushed.induced().heap_bytes(), empty);
+        assert_eq!(batch.induced().heap_bytes(), empty);
+        assert_eq!(
+            batch.star().heap_bytes(),
+            StarAccumulator::new(1).heap_bytes() + 10_000 * 12
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! range-chunked `NeighborCategoryIndex` builds recombining to the
 //! monolithic index, and an induced accumulator reused across `reset()`
 //! and graphs of different sizes staying equal to a fresh one, including
-//! push orders that fill, grow and recycle its per-word slot chunks.
+//! push orders that fill, grow and recycle its per-word slot chunks, and
+//! the index's cut rows matching the adjacency rows they filter.
 
 use cgte_core::edge_weight::{induced_weights_acc, induced_weights_all};
 use cgte_core::{estimate_stream, StarSizeOptions};
@@ -98,6 +99,46 @@ fn random_graph(n: usize, quarters: i32, seed: u64) -> (Graph, Partition) {
     let g = GraphBuilder::from_edges(n, edges).unwrap();
     let cats = (0..n).map(|_| rng.gen_range(0..3)).collect();
     (g, Partition::from_assignments(cats, 3).unwrap())
+}
+
+/// A graph over `n` nodes in three id blocks whose nodes `v % 3 == 0` are
+/// boundary nodes and the rest interior: every pair inside a block is an
+/// edge with probability 3/4, and so is every pair of boundary nodes in
+/// different blocks. Interior nodes have empty cut rows.
+fn mixed_graph(n: usize, seed: u64) -> (Graph, Partition) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let block = |v: NodeId| (3 * v as usize / n) as u32;
+    let mut edges = Vec::new();
+    for u in 0..n as NodeId {
+        for v in u + 1..n as NodeId {
+            let linked = block(u) == block(v) || (u % 3 == 0 && v % 3 == 0);
+            if linked && rng.gen_range(0..4) < 3 {
+                edges.push((u, v));
+            }
+        }
+    }
+    let g = GraphBuilder::from_edges(n, edges).unwrap();
+    let cats = (0..n as NodeId).map(block).collect();
+    (g, Partition::from_assignments(cats, 3).unwrap())
+}
+
+/// A 400-node ring lattice (each node linked to the next three) whose
+/// first category holds 99% of the nodes, like the serve workload's
+/// headline partition: only the neighborhoods of four nodes cross
+/// categories.
+fn skewed_graph() -> (Graph, Partition) {
+    let n = 400;
+    let g = GraphBuilder::from_edges(
+        n,
+        (0..n as NodeId).flat_map(|v| (1..=3).map(move |k| (v, (v + k) % n as NodeId))),
+    )
+    .unwrap();
+    let cats = (0..n as u32)
+        .map(|v| if v % 100 == 7 { 1 + v % 2 } else { 0 })
+        .collect();
+    let p = Partition::from_assignments(cats, 3).unwrap();
+    assert_eq!(p.sizes()[0], 396);
+    (g, p)
 }
 
 fn matrix_bits(m: &CategoryMatrix) -> Vec<(u32, u32, u64)> {
@@ -231,8 +272,9 @@ proptest! {
     fn chunked_index_builds_merge_to_the_monolith(
         chunks in 1usize..6,
         seed in 0u64..8,
+        skewed in any::<bool>(),
     ) {
-        let (g, p) = fixture(17 + seed);
+        let (g, p) = if skewed { skewed_graph() } else { fixture(17 + seed) };
         let serial = NeighborCategoryIndex::build(&g, &p);
         let n = g.num_nodes() as NodeId;
         let per = n.div_ceil(chunks as NodeId).max(1);
@@ -309,13 +351,24 @@ fn chunk_order(n: usize, order: u32, rng: &mut StdRng) -> Vec<NodeId> {
 
 /// Every push order × every reset cut, deterministically: the chunk
 /// layout depends only on the order of pushed ids, so random cases would
-/// only repeat these sequences on other edges.
+/// only repeat these sequences on other edges. The last graph mixes
+/// interior nodes (empty cut rows, never members) with boundary nodes.
 #[test]
 fn induced_slot_chunks_grow_and_recycle_exactly() {
-    let graphs: Vec<_> = [64usize, 65, 130]
+    let mut graphs: Vec<_> = [64usize, 65, 130]
         .into_iter()
         .map(|n| random_graph(n, 3, n as u64))
         .collect();
+    // Interior nodes never become members, so their words' chunks hold
+    // only the boundary nodes among them.
+    let (g, p) = mixed_graph(150, 150);
+    let interior = (0..150).filter(|&v| {
+        g.neighbors(v)
+            .iter()
+            .all(|&u| p.category_of(u) == p.category_of(v))
+    });
+    assert!(interior.count() > 50, "mixed graph lacks interior nodes");
+    graphs.push((g, p));
     for order in 0..3 {
         for cut in 0..=128 {
             // One accumulator reused across dense graphs of growing size:
@@ -371,6 +424,31 @@ fn induced_slot_chunks_grow_and_recycle_exactly() {
                 );
             }
         }
+    }
+}
+
+/// Every cut row is the adjacency row filtered to other categories, in
+/// order — on a planted partition and on one whose first category holds
+/// 99% of the nodes.
+#[test]
+fn cut_rows_are_neighbors_in_other_categories() {
+    for (g, p) in [fixture(19), skewed_graph()] {
+        let index = NeighborCategoryIndex::build(&g, &p);
+        let ctx = ObservationContext::new(&g, &p);
+        let n = g.num_nodes() as NodeId;
+        let mut boundary = 0;
+        for v in 0..n {
+            let want: Vec<NodeId> = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| p.category_of(u) != p.category_of(v))
+                .collect();
+            assert_eq!(index.cut_neighbors(v), &want[..], "node {v}");
+            assert_eq!(ctx.cut_neighbors(v), &want[..], "node {v}");
+            boundary += usize::from(!want.is_empty());
+        }
+        assert!(0 < boundary && boundary < n as usize, "{boundary} of {n}");
     }
 }
 

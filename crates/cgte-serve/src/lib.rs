@@ -646,7 +646,7 @@ fn metrics(state: &ServerState) -> String {
     emit(
         "cgte_serve_session_heap_bytes",
         "gauge",
-        "Heap bytes of open sessions' observation streams (one push log each, membership bitsets, induced slot pools), as of each session's last ingest.",
+        "Heap bytes of open sessions' observation streams, as of each session's last ingest: one push log each (12 B per sample), plus a membership bitset (n/8 B) and induced slot pool once the session samples a node with a neighbor in another category.",
         heap_bytes.to_string(),
     );
     emit(

@@ -422,18 +422,17 @@ impl Session {
         let g = &self.graph.graph;
         let p = &self.graph.partitions[self.part_idx].1;
         let population = self.population();
-        let log = self.stream.log();
-        let nodes: Vec<NodeId> = log.iter().map(|&(v, _)| v).collect();
+        let (nodes, logged) = self.stream.log();
         let weights: Vec<f64> = match self.design {
-            DesignKind::Uniform => vec![1.0; log.len()],
-            DesignKind::Weighted => log.iter().map(|&(_, w)| w).collect(),
+            DesignKind::Uniform => vec![1.0; nodes.len()],
+            DesignKind::Weighted => logged.to_vec(),
         };
-        let star_sample = StarSample::observe_with_weights(g, p, &nodes, weights.clone());
-        let ind_sample = InducedSample::observe_with_weights(g, p, &nodes, weights);
+        let star_sample = StarSample::observe_with_weights(g, p, nodes, weights.clone());
+        let ind_sample = InducedSample::observe_with_weights(g, p, nodes, weights);
         // One deterministic stream per (session seed, prefix, reps): the
         // same query twice returns byte-identical intervals.
         let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (log.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ reps as u64,
+            self.seed ^ (nodes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ reps as u64,
         );
         let opts = StarSizeOptions::default();
         let mut star_ci = String::from("[");
