@@ -125,16 +125,18 @@ fn bench_prefix_evaluation(c: &mut Criterion) {
     grp.finish();
 }
 
-/// Induced push throughput (§3.2.1: one membership lookup per cut
-/// neighbor of every sample) in the regimes the benchmark workloads span:
-/// a small dense graph that a long walk covers, a large sparse graph, both
-/// under ten id blocks where most neighbors are in another category, and
-/// the large graph under a top-50 community partition with a rest
-/// category, shaped like the serve workload's headline graph, where almost
-/// no neighbor is.
+/// Induced push throughput (§3.2.1: one mass load per cut neighbor of
+/// every sample) in the regimes the benchmark workloads span: a small
+/// dense graph that a long walk covers, a large sparse graph, both under
+/// ten id blocks where most neighbors are in another category, the large
+/// graph under a top-50 community partition with a rest category, shaped
+/// like the serve workload's headline graph, where almost no neighbor is,
+/// and fig4's Texas stand-in at its default scale, whose spectral top-20
+/// partition collapses to a few categories that most edges cross.
 fn bench_induced_push(c: &mut Criterion) {
+    use cgte_datasets::{standin, standin_partition, StandinKind};
     use cgte_graph::generators::{chung_lu, powerlaw_weights, scale_to_mean};
-    use cgte_graph::{NodeId, Partition};
+    use cgte_graph::{Graph, NodeId, Partition};
     use cgte_sampling::{InducedAccumulator, ObservationContext, RandomWalk};
 
     /// Share of the pushes' adjacency entries that are in their cut rows.
@@ -144,35 +146,57 @@ fn bench_induced_push(c: &mut Criterion) {
         cut as f64 / scanned.max(1) as f64
     }
 
-    let mut grp = c.benchmark_group("induced_push");
-    grp.sample_size(10);
-    for (label, n, mean_degree, pushes, communities) in [
-        ("high_hit_5k_deg60_30k_rw", 5_000, 60.0, 30_000, false),
-        ("low_hit_100k_deg10_50k_rw", 100_000, 10.0, 50_000, false),
-        (
-            "skewed_100k_deg10_top50_50k_rw",
-            100_000,
-            10.0,
-            50_000,
-            true,
-        ),
-    ] {
+    /// A Chung–Lu graph (γ = 2.5) under ten id blocks or top-50
+    /// communities, and the stream that drew it.
+    fn chung_lu_case(n: usize, mean_degree: f64, communities: bool) -> (Graph, Partition, StdRng) {
         let mut rng = StdRng::seed_from_u64(11);
         let mut w = powerlaw_weights(n, 2.5, 1.0, (n as f64).sqrt(), &mut rng);
         scale_to_mean(&mut w, mean_degree);
         let g = chung_lu(&w, &mut rng);
         let p = if communities {
-            cgte_datasets::standin_partition(&g, 50, false, &mut rng)
+            standin_partition(&g, 50, false, &mut rng)
         } else {
             Partition::blocks(n, &[n / 10; 10]).expect("exact blocks")
         };
+        (g, p, rng)
+    }
+
+    /// fig4's Texas graph: the built-in scenario's seed, `scale_div` 8 and
+    /// a spectral top-20 partition drawn from the same stream, which goes
+    /// on to draw the walk.
+    fn fig4_texas() -> (Graph, Partition, StdRng) {
+        let mut rng = StdRng::seed_from_u64(0x2012_5EED);
+        let g = standin(StandinKind::FacebookTexas, 8, &mut rng);
+        let p = standin_partition(&g, 20, true, &mut rng);
+        (g, p, rng)
+    }
+
+    let mut grp = c.benchmark_group("induced_push");
+    grp.sample_size(10);
+    type Case = fn() -> (Graph, Partition, StdRng);
+    let cases: [(&str, usize, Case); 4] = [
+        ("high_hit_5k_deg60_30k_rw", 30_000, || {
+            chung_lu_case(5_000, 60.0, false)
+        }),
+        ("low_hit_100k_deg10_50k_rw", 50_000, || {
+            chung_lu_case(100_000, 10.0, false)
+        }),
+        ("skewed_100k_deg10_top50_50k_rw", 50_000, || {
+            chung_lu_case(100_000, 10.0, true)
+        }),
+        ("fig4_texas_spectral_30k_rw", 30_000, fig4_texas),
+    ];
+    for (label, pushes, case) in cases {
+        let (g, p, mut rng) = case();
         let nodes = RandomWalk::new()
             .burn_in(1_000)
             .sample(&g, pushes, &mut rng);
         let weights: Vec<f64> = nodes.iter().map(|&v| g.degree(v) as f64).collect();
         let ctx = ObservationContext::new(&g, &p);
         println!(
-            "induced_push/{label}: {:.2}% of the pushed nodes' adjacency entries cross categories",
+            "induced_push/{label}: {} nodes, C = {}, {:.2}% of the pushed nodes' adjacency entries cross categories",
+            g.num_nodes(),
+            p.num_categories(),
             100.0 * cut_share(&ctx, &nodes)
         );
         let mut acc = InducedAccumulator::new(p.num_categories());

@@ -86,6 +86,17 @@ impl CategoryMatrix {
         self.data[i] += x;
     }
 
+    /// The entry at `(a, b)` (order-insensitive), for a caller that sums
+    /// several terms into it in a register and stores the sum once.
+    ///
+    /// # Panics
+    /// Panics if either category is out of range.
+    #[inline]
+    pub fn get_mut(&mut self, a: CategoryId, b: CategoryId) -> &mut f64 {
+        let i = self.index(a, b);
+        &mut self.data[i]
+    }
+
     /// Overwrites the entry at `(a, b)` (order-insensitive).
     ///
     /// # Panics

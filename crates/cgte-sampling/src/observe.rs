@@ -239,7 +239,7 @@ impl StarSample {
             if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(v) {
                 e.insert(arena.len());
                 let mut hist = Vec::new();
-                scratch.append_row(g, p, v, &mut hist, |_, _| {});
+                scratch.append_row(g, p, v, &mut hist);
                 arena.push(hist);
             }
         }
@@ -370,15 +370,13 @@ impl HistogramScratch {
     }
 
     /// Appends the sorted sparse histogram of `v`'s neighbor categories to
-    /// `hist`, calling `each` with every neighbor and its category on the
-    /// way, in adjacency (ascending id) order.
+    /// `hist`.
     fn append_row(
         &mut self,
         g: &Graph,
         p: &Partition,
         v: NodeId,
         hist: &mut Vec<(CategoryId, u32)>,
-        mut each: impl FnMut(NodeId, CategoryId),
     ) {
         for &u in g.neighbors(v) {
             let c = p.category_of(u);
@@ -386,7 +384,6 @@ impl HistogramScratch {
                 self.touched.push(c);
             }
             self.counts[c as usize] += 1;
-            each(u, c);
         }
         self.touched.sort_unstable();
         hist.extend(self.touched.iter().map(|&c| (c, self.counts[c as usize])));
@@ -401,14 +398,19 @@ impl HistogramScratch {
 /// sorted neighbor-category histogram and its *cut row*, in two CSR
 /// arenas.
 ///
-/// A node's cut row lists its neighbors in another category, in ascending
-/// id order — the ids behind the paper's edge cuts `|E_{v,B}|`, `B` not
-/// `v`'s category. It is all the induced push reads (Eq. (8)/(15) count
-/// only edges between different categories), and it is symmetric:
-/// `u ∈ cut(v) ⇔ v ∈ cut(u)`. On a homophilous partition most rows are
-/// empty.
+/// A node's cut row lists its neighbors in another category — the ids
+/// behind the paper's edge cuts `|E_{v,B}|`, `B` not `v`'s category —
+/// grouped by category: groups in ascending category order, ids ascending
+/// inside each group (a stable partition of the adjacency row). Group
+/// `B`'s length is `v`'s histogram count for `B`, so the histogram
+/// delimits the groups and the layout stores no extra bytes. The cut row is
+/// all the induced push reads (Eq. (8)/(15) count only edges between
+/// different categories), and it is symmetric: `u ∈ cut(v) ⇔ v ∈ cut(u)`.
+/// On a homophilous partition most rows are empty.
 ///
-/// Built once in `O(E + N)`, in one scan per node that fills both rows.
+/// Built once in `O(E + N)`: one scan per node fills its histogram, and a
+/// node with a cut scans its row again to place each cut neighbor in its
+/// group.
 /// Long-lived consumers (the `cgte-serve` estimation service) build one
 /// index per (graph, partition), keep it in an `Arc`, and stamp out cheap
 /// [`ObservationContext::with_index`] views per request — the index has no
@@ -436,7 +438,7 @@ pub struct NeighborCategoryIndex {
     offsets: Vec<(u32, u32)>,
     /// Concatenated sorted `(category, count)` histograms.
     entries: Vec<(CategoryId, u32)>,
-    /// Concatenated cut rows, each in ascending id order.
+    /// Concatenated cut rows, each grouped by ascending category.
     cut: Vec<NodeId>,
 }
 
@@ -488,13 +490,31 @@ impl NeighborCategoryIndex {
         let mut entries = Vec::new();
         let mut cut = Vec::new();
         let mut scratch = HistogramScratch::new(p.num_categories());
+        // The next free cut position of each other category's group.
+        let mut next = vec![0usize; p.num_categories()];
         for v in lo..hi {
             let cv = p.category_of(v);
-            scratch.append_row(g, p, v, &mut entries, |u, c| {
-                if c != cv {
-                    cut.push(u);
+            let hist = entries.len();
+            scratch.append_row(g, p, v, &mut entries);
+            let start = cut.len();
+            let mut end = start;
+            for &(b, count) in &entries[hist..] {
+                if b != cv {
+                    next[b as usize] = end;
+                    end += count as usize;
                 }
-            });
+            }
+            // Only a row with a cut is scanned again.
+            if end > start {
+                cut.resize(end, 0);
+                for &u in g.neighbors(v) {
+                    let b = p.category_of(u) as usize;
+                    if b != cv as usize {
+                        cut[next[b]] = u;
+                        next[b] += 1;
+                    }
+                }
+            }
             offsets.push((arena_offset(entries.len()), arena_offset(cut.len())));
         }
         NeighborCategoryIndex {
@@ -564,8 +584,11 @@ impl NeighborCategoryIndex {
         &self.entries[self.offsets[i].0 as usize..self.offsets[i + 1].0 as usize]
     }
 
-    /// The cut row of `v`: its neighbors in another category, ascending
-    /// (with multiplicity, as in the adjacency row).
+    /// The cut row of `v`: its neighbors in another category (with
+    /// multiplicity, as in the adjacency row), grouped by ascending
+    /// category and ascending inside each group. The group of category `B`
+    /// is as long as `v`'s [`NeighborCategoryIndex::neighbor_categories`]
+    /// count for `B`.
     ///
     /// # Panics
     /// Panics if `v` is outside the covered range.
@@ -663,7 +686,9 @@ impl<'a> ObservationContext<'a> {
     }
 
     /// The cached cut row of `v`: its neighbors in another category,
-    /// ascending — the ids behind the edge cuts `|E_{v,B}|`.
+    /// grouped by ascending category as
+    /// [`NeighborCategoryIndex::cut_neighbors`] describes — the ids behind
+    /// the edge cuts `|E_{v,B}|`.
     #[inline]
     pub fn cut_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.index().cut_neighbors(v)
@@ -872,16 +897,16 @@ impl StarAccumulator {
 
 /// Incremental induced-subgraph statistics (§3.2.1) for growing prefixes.
 ///
-/// [`InducedAccumulator::push`] costs `O(|cut(v)| + 64)`: it scans the
-/// node's cut row ([`ObservationContext::cut_neighbors`], its neighbors in
-/// another category) and, for each of them already in the sample, folds
-/// the pair's reweighted contribution into the Eq. (8)/(15) numerator
-/// matrix. Same-category neighbors add nothing to those numerators, so
-/// they are never looked up. The per-node running mass `Σ 1/w` over
-/// earlier occurrences makes the cost independent of how often a walk
-/// revisits nodes. Snapshots are bit-identical to a from-scratch
-/// [`InducedSample`]-then-estimate pass (see `induced_weights_all`, which
-/// replays the same summation order).
+/// [`InducedAccumulator::push`] costs `O(|cut(v)|)` plus one matrix cell
+/// per neighbor category: it walks the node's cut row
+/// ([`ObservationContext::cut_neighbors`], its neighbors in another
+/// category, grouped by category) and folds each pair's reweighted
+/// contribution into the Eq. (8)/(15) numerator matrix. Same-category
+/// neighbors add nothing to those numerators, so they are never looked up.
+/// The per-node running mass `Σ 1/w` over earlier occurrences makes the
+/// cost independent of how often a walk revisits nodes. Snapshots are
+/// bit-identical to a from-scratch [`InducedSample`]-then-estimate pass
+/// (see `induced_weights_all`, which replays the same summation order).
 ///
 /// This accumulator keeps no log: [`ObservationStream::merge`] replays the
 /// stream's one log ([`StarAccumulator::log`]) through both accumulators.
@@ -895,32 +920,34 @@ impl StarAccumulator {
 /// becomes a *member*. Cut rows are symmetric (`u ∈ cut(v) ⇔ v ∈ cut(u)`),
 /// so no scan ever reaches a node whose row is empty, and such a node
 /// needs no running mass. A stream that samples only such nodes — a walk
-/// inside one category — holds no bitset and no slot pool at all.
+/// inside one category — holds no directory and no mass block at all.
 ///
-/// **Membership filter and slot pool.** Most cut neighbors of a sampled
-/// node are not in the sample, so `push` first tests an exact membership
-/// bitset over node ids (one bit per graph node, `n/8` bytes: 125 KB at
-/// 1M nodes, L2-resident). A miss costs one load. Behind the bitset, each
-/// 64-node word owns a chunk of a slot pool that holds its members'
-/// running masses and categories in bit order, so a hit's slot is the
-/// chunk start plus the popcount of the word's lower bits (a per-word rank
-/// directory, Jacobson 1989). No hash is computed on the push path, so a
-/// client's choice of node ids cannot build probe chains. A new member is
-/// shifted into its word's chunk; a full chunk moves to one of twice the
-/// capacity (1 up to 64 slots), taken from that class's free list or the
-/// end of the pool, and the old chunk goes onto its own class's free list.
-/// A chunk's capacity is not stored: it is the word's popcount rounded up
-/// to a power of two. A push therefore costs `O(|cut(v)| + 64)` for any id
-/// set. Per accumulator memory is `n/8` bytes for the bitset, 4 bytes per
-/// 64 nodes for the chunk directory, 12 bytes per pool slot (under 4 slots
-/// per distinct member, free chunks included) and 4 bytes per bitset word
-/// that holds a member. Both the bitset and the directory are sized from
-/// the context's graph when the first member arrives and grow if the
-/// accumulator is later pushed against a larger graph.
-/// [`InducedAccumulator::reset`] walks the list of words that got a first
-/// member and clears only those, in `O(touched words)` rather than
-/// `O(n/64)`, so scratch reuse across replications stays independent of
-/// graph size; a cleared word's stale directory entry is never read.
+/// **Mass blocks.** Running masses live in 64-slot `f64` blocks, one per
+/// 64-node word of ids that holds a member, behind a directory of one
+/// `u32` block offset per word. Block 0 is shared by every word without a
+/// member and stays all zero, so a cut neighbor's mass is one
+/// unconditional load, `mass[block[u / 64] + u % 64]`, that reads `0` for
+/// a non-member: there is no membership test, no rank and no hash on the
+/// push path, and a client's choice of node ids cannot build probe chains.
+/// Each category group of the cut row is summed in a register that starts
+/// from its `(c(v), B)` cell and is stored once; a non-member's term is
+/// forced to exactly `+0.0` (a bare `w⁻¹ · 0` is NaN when `1/w` overflows
+/// to `+∞`), which leaves a cell that is `≥ +0.0` unchanged. Every cell
+/// therefore receives the same IEEE adds in the same order as one add per
+/// member.
+///
+/// Memory is 4 bytes per 64 nodes for the directory plus 512 bytes per
+/// word that holds a member, plus the zero block and 4 bytes per such word
+/// in the touched list: on the serve workload's 1M-node headline graph
+/// (22 boundary nodes) about 74 KB, on a large graph whose partition is
+/// not homophilous up to 8 bytes per node. The directory is sized from the
+/// context's graph when the first member arrives and grows if the
+/// accumulator is later pushed against a larger graph; both it and the
+/// block arena grow exactly, never past what they hold.
+/// [`InducedAccumulator::reset`] walks the list of words that got a block
+/// and points them back at the zero block, in `O(touched words)` rather
+/// than `O(n/64)`, so scratch reuse across replications stays independent
+/// of graph size.
 ///
 /// [`ObservationStream::merge`]: crate::ObservationStream::merge
 #[derive(Debug, Clone)]
@@ -931,35 +958,25 @@ pub struct InducedAccumulator {
     per_cat_mass: Vec<f64>,
     /// `w⁻¹(S)`.
     inv_mass: f64,
-    /// Bit `v` is set iff `v` was pushed and its cut row is not empty.
-    members: Vec<u64>,
-    /// The index of every `members` word that holds a member, in the order
-    /// the words got their first one — what `reset` clears.
+    /// The offset in `mass` of each 64-node word's block; `0`, the shared
+    /// zero block, for a word without a member.
+    block: Vec<u32>,
+    /// The index of every word that holds a member, in the order the words
+    /// got their blocks — block `k + 1` belongs to `touched[k]`; what
+    /// `reset` clears.
     touched: Vec<u32>,
-    /// The pool slot where each bitset word's chunk starts; read only for a
-    /// word with a member. The chunk's first `popcount(word)` slots are
-    /// live, in bit order, and its capacity is that count rounded up to a
-    /// power of two.
-    chunk_start: Vec<u32>,
-    /// Running `Σ 1/w` over the occurrences of each member, by slot.
+    /// Running `Σ 1/w` over the occurrences of each member, by node id in
+    /// 64-slot blocks; the first block is all zero. Empty until the first
+    /// member arrives.
     mass: Vec<f64>,
-    /// The category of each member, by slot, as the partition gave it
-    /// when the node was first pushed.
-    cat: Vec<CategoryId>,
-    /// Released chunk starts per capacity class (`cap == 1 << class`).
-    free: [Vec<u32>; CHUNK_CLASSES],
     /// Eq. (8)/(15) numerators per unordered category pair.
     weight_num: CategoryMatrix,
 }
 
-/// Chunk capacities 1, 2, 4, …, 64: one class per power of two up to the
-/// 64 nodes of a bitset word.
-const CHUNK_CLASSES: usize = 7;
-
-/// Equality of the estimator state only: the bitset and the slot pool are
-/// functions of the pushed sequence, and their layout depends on which
-/// graphs the accumulator has seen, so a fresh accumulator equals a reset
-/// one.
+/// Equality of the estimator state only: the directory and the mass
+/// blocks are functions of the pushed sequence, and their layout depends
+/// on which graphs the accumulator has seen, so a fresh accumulator equals
+/// a reset one.
 impl PartialEq for InducedAccumulator {
     fn eq(&self, other: &Self) -> bool {
         self.num_categories == other.num_categories
@@ -978,46 +995,35 @@ impl InducedAccumulator {
             len: 0,
             per_cat_mass: vec![0.0; num_categories],
             inv_mass: 0.0,
-            members: Vec::new(),
+            block: Vec::new(),
             touched: Vec::new(),
-            chunk_start: Vec::new(),
             mass: Vec::new(),
-            cat: Vec::new(),
-            free: Default::default(),
             weight_num: CategoryMatrix::zeros(num_categories),
         }
     }
 
     /// Clears all sums, keeping allocations. Walks the touched words to
-    /// clear only the bitset words that hold a member: `O(touched words)`,
-    /// not `O(n/64)`.
+    /// point only the words that hold a member back at the zero block:
+    /// `O(touched words)`, not `O(n/64)`.
     pub fn reset(&mut self) {
         for &i in &self.touched {
-            self.members[i as usize] = 0;
+            self.block[i as usize] = 0;
         }
         self.touched.clear();
+        self.mass.truncate(64);
         self.len = 0;
         self.per_cat_mass.fill(0.0);
         self.inv_mass = 0.0;
-        self.mass.clear();
-        self.cat.clear();
-        self.free.iter_mut().for_each(Vec::clear);
         self.weight_num.reset();
     }
 
-    /// Heap bytes held: the membership bitset with its touched-word list,
-    /// the chunk directory, the slot pool with its free lists, and the
-    /// `O(C²)` sums. The first four stay empty until a pushed node has a
-    /// non-empty cut row.
+    /// Heap bytes held: the block directory with its touched-word list, the
+    /// mass blocks, and the `O(C²)` sums. The first three stay empty until
+    /// a pushed node has a non-empty cut row.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.members.capacity() * size_of::<u64>()
-            + self.touched.capacity() * size_of::<u32>()
-            + self.chunk_start.capacity() * size_of::<u32>()
-            + self.mass.capacity() * size_of::<f64>()
-            + self.cat.capacity() * size_of::<CategoryId>()
-            + self.free.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
-            + self.per_cat_mass.capacity() * size_of::<f64>()
+        (self.block.capacity() + self.touched.capacity()) * size_of::<u32>()
+            + (self.mass.capacity() + self.per_cat_mass.capacity()) * size_of::<f64>()
             + self.weight_num.heap_bytes()
     }
 
@@ -1040,90 +1046,53 @@ impl InducedAccumulator {
         let w_inv = 1.0 / w;
         let cut = ctx.cut_neighbors(v);
         // A node with an empty cut row is in no other node's cut row, so
-        // no scan can reach it: it gets no bit and no slot.
+        // no scan can reach it: it gets no mass block.
         if !cut.is_empty() {
             let words = ctx.graph().num_nodes().div_ceil(64);
-            if self.members.len() < words {
-                self.members.resize(words, 0);
-                self.chunk_start.resize(words, 0);
+            if self.block.len() < words {
+                self.block.reserve_exact(words - self.block.len());
+                self.block.resize(words, 0);
             }
-            // The cut row is the adjacency row without same-category
-            // neighbors, still in ascending node-id order; the running
-            // mass of each adjacent sampled node aggregates all its earlier
+            if self.mass.is_empty() {
+                self.mass.reserve_exact(64);
+                self.mass.resize(64, 0.0);
+            }
+            // The cut row's groups follow the histogram's other categories
+            // in order. Inside a group ids ascend, and the running mass of
+            // each adjacent sampled node aggregates all its earlier
             // occurrences, matching the grouped summation order of the
-            // from-scratch `induced_weights_all` exactly. A clear bit means
-            // `u` is not in the sample; a set bit's rank in its word
-            // locates `u`'s slot, which also holds its category.
-            for &u in cut {
-                let i = u as usize / 64;
-                let word = self.members[i];
-                let bit = 1 << (u % 64);
-                if word & bit == 0 {
+            // from-scratch `induced_weights_all` exactly.
+            let (block, mass) = (&self.block[..], &self.mass[..]);
+            let mut rest = cut;
+            for &(b, count) in ctx.neighbor_categories(v) {
+                if b == c {
                     continue;
                 }
-                let slot = self.chunk_start[i] as usize + (word & (bit - 1)).count_ones() as usize;
-                self.weight_num
-                    .add(c, self.cat[slot], w_inv * self.mass[slot]);
+                let (group, tail) = rest.split_at(count as usize);
+                rest = tail;
+                let cell = self.weight_num.get_mut(c, b);
+                let mut sum = *cell;
+                for &u in group {
+                    let m = mass[block[u as usize / 64] as usize + u as usize % 64];
+                    // A non-member reads 0 and adds exactly +0.0; `w_inv * m`
+                    // alone would be NaN for a `w_inv` of +∞.
+                    sum += if m == 0.0 { 0.0 } else { w_inv * m };
+                }
+                *cell = sum;
             }
-            let slot = self.slot_or_insert(v, c);
-            self.mass[slot] += w_inv;
+            let i = v as usize / 64;
+            if self.block[i] == 0 {
+                self.block[i] =
+                    u32::try_from(self.mass.len()).expect("induced mass blocks exceed u32 offsets");
+                self.mass.reserve_exact(64);
+                self.mass.resize(self.mass.len() + 64, 0.0);
+                self.touched.push(i as u32);
+            }
+            self.mass[self.block[i] as usize + v as usize % 64] += w_inv;
         }
         self.per_cat_mass[c as usize] += w_inv;
         self.inv_mass += w_inv;
         self.len += 1;
-    }
-
-    /// The pool slot of `v`, first inserting `v` with zero mass and
-    /// category `c` if it is not a member: at most 64 slots shift or move.
-    fn slot_or_insert(&mut self, v: NodeId, c: CategoryId) -> usize {
-        let i = v as usize / 64;
-        let word = self.members[i];
-        let bit = 1 << (v % 64);
-        let rank = (word & (bit - 1)).count_ones() as usize;
-        if word & bit != 0 {
-            return self.chunk_start[i] as usize + rank;
-        }
-        let live = word.count_ones() as usize;
-        if live == 0 {
-            self.touched.push(i as u32);
-        }
-        if live == 0 || live.is_power_of_two() {
-            self.grow(i, live);
-        }
-        let at = self.chunk_start[i] as usize + rank;
-        let end = self.chunk_start[i] as usize + live;
-        self.mass.copy_within(at..end, at + 1);
-        self.cat.copy_within(at..end, at + 1);
-        self.mass[at] = 0.0;
-        self.cat[at] = c;
-        self.members[i] = word | bit;
-        at
-    }
-
-    /// Moves word `i`'s `live` slots, which fill their chunk, into a chunk
-    /// of twice the capacity (one slot for a word without a chunk) and
-    /// releases the old chunk to its class's free list.
-    fn grow(&mut self, i: usize, live: usize) {
-        let cap = (2 * live).max(1);
-        let class = cap.trailing_zeros() as usize;
-        let start = match self.free[class].pop() {
-            Some(start) => start,
-            None => {
-                let end = self.mass.len();
-                self.mass.resize(end + cap, 0.0);
-                self.cat.resize(end + cap, 0);
-                u32::try_from(end).expect("induced slot pool exceeds u32 indices")
-            }
-        };
-        // A word without members has no chunk to move; its directory entry
-        // may be stale from before a reset.
-        if live > 0 {
-            let from = self.chunk_start[i] as usize;
-            self.mass.copy_within(from..from + live, start as usize);
-            self.cat.copy_within(from..from + live, start as usize);
-            self.free[class - 1].push(from as u32);
-        }
-        self.chunk_start[i] = start;
     }
 
     /// Number of pushed samples.
@@ -1349,20 +1318,56 @@ mod tests {
         assert!(acc.weight_numerators().is_zero());
     }
 
-    /// The three push orders of `tests/merge_law.rs`'s slot-chunk test,
-    /// over 130 nodes (two full bitset words and a partial one), cut at
-    /// every prefix: the touched list names each word with a member once,
-    /// and `reset` leaves no member bit and no touched word behind.
+    /// The three push orders of `tests/merge_law.rs`'s mass-block test,
+    /// over 130 nodes (two full 64-node words and a partial one), cut at
+    /// every prefix: the touched list names each word with a block once,
+    /// in the order of the blocks, and `reset` points every word back at
+    /// the zero block and leaves only that block, all zero.
     #[test]
     fn induced_reset_clears_every_touched_word() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let n: NodeId = 130;
+        let (g, p) = ring(n);
+        let ctx = ObservationContext::new(&g, &p);
+        let mut acc = InducedAccumulator::new(3);
+        for (order, nodes) in block_orders(n).iter().enumerate() {
+            for cut in 0..=nodes.len() {
+                for &v in &nodes[..cut] {
+                    acc.push(&ctx, v, 1.0);
+                }
+                let mut touched = acc.touched.clone();
+                touched.sort_unstable();
+                let owned: Vec<u32> = (0..acc.block.len() as u32)
+                    .filter(|&i| acc.block[i as usize] != 0)
+                    .collect();
+                assert_eq!(touched, owned, "order {order} cut {cut}");
+                for (k, &i) in acc.touched.iter().enumerate() {
+                    assert_eq!(acc.block[i as usize] as usize, 64 * (k + 1));
+                }
+                assert!(acc.mass[..64.min(acc.mass.len())].iter().all(|&m| m == 0.0));
+                acc.reset();
+                assert!(acc.block.iter().all(|&b| b == 0), "order {order} cut {cut}");
+                assert!(acc.touched.is_empty(), "order {order} cut {cut}");
+                assert!(acc.mass.len() <= 64 && acc.mass.iter().all(|&m| m == 0.0));
+            }
+        }
+    }
+
+    /// A ring over `n` nodes in three interleaved categories: every node's
+    /// cut row holds both of its neighbors.
+    fn ring(n: NodeId) -> (Graph, Partition) {
         let g = GraphBuilder::from_edges(n as usize, (0..n).map(|v| (v, (v + 1) % n))).unwrap();
         let p = Partition::from_assignments((0..n).map(|v| v % 3).collect(), 3).unwrap();
-        let ctx = ObservationContext::new(&g, &p);
+        (g, p)
+    }
+
+    /// Descending ids, 64-node words interleaved in a stride-37 bit
+    /// order, and ascending ids each repeated with a random tail of
+    /// revisits.
+    fn block_orders(n: NodeId) -> [Vec<NodeId>; 3] {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        let orders: [Vec<NodeId>; 3] = [
+        [
             (0..n).rev().collect(),
             (0..64)
                 .flat_map(|k| (0..n.div_ceil(64)).map(move |w| w * 64 + (k * 37) % 64))
@@ -1372,27 +1377,57 @@ mod tests {
                 .flat_map(|v| [v, v])
                 .chain((0..n).map(|_| rng.gen_range(0..n)))
                 .collect(),
-        ];
-        let mut acc = InducedAccumulator::new(3);
-        for (order, nodes) in orders.iter().enumerate() {
-            for cut in 0..=nodes.len() {
-                for &v in &nodes[..cut] {
+        ]
+    }
+
+    /// The memory bound of the layout, at every prefix of every block
+    /// order on 130- and 1000-node rings: the directory's 4 bytes per
+    /// 64 nodes, 512 bytes per word that holds a member plus the zero
+    /// block, the touched list and the `O(C²)` sums — nothing more.
+    #[test]
+    fn induced_heap_is_directory_plus_member_blocks() {
+        for n in [130, 1000] {
+            let (g, p) = ring(n);
+            let ctx = ObservationContext::new(&g, &p);
+            let sums = InducedAccumulator::new(3).heap_bytes();
+            for (order, nodes) in block_orders(n).iter().enumerate() {
+                let mut acc = InducedAccumulator::new(3);
+                let mut words = std::collections::BTreeSet::new();
+                for &v in nodes {
                     acc.push(&ctx, v, 1.0);
+                    words.insert(v / 64);
+                    let bound = 4 * (n as usize).div_ceil(64)
+                        + 512 * (words.len() + 1)
+                        + 4 * acc.touched.capacity()
+                        + sums;
+                    assert!(
+                        acc.heap_bytes() <= bound,
+                        "n {n} order {order}: {} > {bound}",
+                        acc.heap_bytes()
+                    );
                 }
-                let mut touched = acc.touched.clone();
-                touched.sort_unstable();
-                let nonzero: Vec<u32> = (0..acc.members.len() as u32)
-                    .filter(|&i| acc.members[i as usize] != 0)
-                    .collect();
-                assert_eq!(touched, nonzero, "order {order} cut {cut}");
-                acc.reset();
-                assert!(
-                    acc.members.iter().all(|&w| w == 0),
-                    "order {order} cut {cut}"
-                );
-                assert!(acc.touched.is_empty(), "order {order} cut {cut}");
+                assert_eq!(acc.touched.len(), words.len());
             }
         }
+    }
+
+    /// A non-member adds exactly `+0.0`, even when `1/w` overflows to
+    /// `+∞`: on the path 0 – 1 – 2 with categories 0, 1, 0, node 1 pushed
+    /// with the least subnormal weight scans member 0 (`∞ · 1`) and
+    /// non-member 2, whose term must not turn the cell into `∞ · 0 = NaN`.
+    #[test]
+    fn induced_non_member_adds_exactly_zero() {
+        let g = GraphBuilder::from_edges(3, [(0, 1), (1, 2)]).unwrap();
+        let p = Partition::from_assignments(vec![0, 1, 0], 2).unwrap();
+        let ctx = ObservationContext::new(&g, &p);
+        let mut acc = InducedAccumulator::new(2);
+        acc.push(&ctx, 0, 1.0);
+        assert_eq!(
+            acc.weight_numerators().get(0, 1).to_bits(),
+            0.0f64.to_bits()
+        );
+        acc.push(&ctx, 1, f64::from_bits(1));
+        assert_eq!(acc.weight_numerators().get(0, 1), f64::INFINITY);
     }
 
     #[test]

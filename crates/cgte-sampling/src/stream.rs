@@ -76,11 +76,11 @@ impl ObservationStream {
     }
 
     /// Heap bytes held by both accumulators: the one push log (12 bytes per
-    /// sample), the induced membership bitset (`n/8` bytes), chunk
-    /// directory (`n/16` bytes) and slot pool (under 4 slots of 12 bytes per
-    /// member), and the `O(C²)` sums. Members are the sampled nodes with a
-    /// non-empty cut row; until the first one arrives the bitset, directory
-    /// and pool hold nothing.
+    /// sample), the induced block directory (`n/16` bytes), one 512-byte
+    /// mass block per 64-node word that holds a member plus a shared zero
+    /// block, and the `O(C²)` sums. Members are the sampled nodes with a
+    /// non-empty cut row; until the first one arrives the directory and the
+    /// blocks hold nothing.
     pub fn heap_bytes(&self) -> usize {
         self.star.heap_bytes() + self.induced.heap_bytes()
     }
@@ -228,7 +228,7 @@ mod tests {
     }
 
     /// The induced accumulator keeps no log: repeat pushes of one node
-    /// touch only its existing slot, so its heap stops growing after the
+    /// touch only its existing mass slot, so its heap stops growing after the
     /// first push (the stream's one log grows in the star accumulator).
     #[test]
     fn induced_heap_is_flat_under_repeat_pushes() {
@@ -246,10 +246,11 @@ mod tests {
 
     /// Under one category every cut row is empty, so no sampled node
     /// becomes a member: after 10k pushes the induced accumulator holds no
-    /// bitset and no slot pool, whether pushed one by one or ingested as a
-    /// batch, and the batch's log is reserved to exactly its length.
+    /// block directory and no mass block, whether pushed one by one or
+    /// ingested as a batch, and the batch's log is reserved to exactly its
+    /// length.
     #[test]
-    fn single_category_stream_holds_no_slot_pool() {
+    fn single_category_stream_holds_no_mass_blocks() {
         use rand::SeedableRng;
         let (g, _) = fixture();
         let p = Partition::from_assignments(vec![0; 6], 1).unwrap();

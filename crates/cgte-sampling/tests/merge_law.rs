@@ -10,8 +10,9 @@
 //! range-chunked `NeighborCategoryIndex` builds recombining to the
 //! monolithic index, and an induced accumulator reused across `reset()`
 //! and graphs of different sizes staying equal to a fresh one, including
-//! push orders that fill, grow and recycle its per-word slot chunks, and
-//! the index's cut rows matching the adjacency rows they filter.
+//! push orders that fill and recycle its per-word mass blocks, and the
+//! index's cut rows matching the adjacency rows they filter, grouped by
+//! category.
 
 use cgte_core::edge_weight::{induced_weights_acc, induced_weights_all};
 use cgte_core::{estimate_stream, StarSizeOptions};
@@ -297,9 +298,9 @@ proptest! {
         seed in 0u64..32,
         len in 0usize..40,
     ) {
-        // Node counts straddle the bitset's 64-bit words; the order makes
-        // the reused accumulator shrink to one node, then grow past its
-        // first graph after a reset.
+        // Node counts straddle the mass blocks' 64-node words; the order
+        // makes the reused accumulator shrink to one node, then grow past
+        // its first graph after a reset.
         let mut reused = InducedAccumulator::new(3);
         for (k, n) in [65usize, 1, 200, 63].into_iter().enumerate() {
             reused.reset();
@@ -327,15 +328,14 @@ proptest! {
 }
 
 /// A push order over `0..n` that exercises the induced accumulator's
-/// slot chunks: every id, so a full word reaches 64 members.
-fn chunk_order(n: usize, order: u32, rng: &mut StdRng) -> Vec<NodeId> {
+/// mass blocks: every id, so a full word reaches 64 members.
+fn block_order(n: usize, order: u32, rng: &mut StdRng) -> Vec<NodeId> {
     let n = n as NodeId;
     match order {
-        // Descending ids: every insert lands at the front of its chunk
-        // and shifts all live slots.
+        // Descending ids: each word's block is opened by its last slot.
         0 => (0..n).rev().collect(),
-        // Words interleaved, bits in a stride-37 permutation: chunks of
-        // different words grow in turn and recycle each other's chunks.
+        // Words interleaved, bits in a stride-37 permutation: the blocks
+        // of different words fill in turn.
         1 => (0..64)
             .flat_map(|k| (0..n.div_ceil(64)).map(move |w| w * 64 + (k * 37) % 64))
             .filter(|&v| v < n)
@@ -349,18 +349,18 @@ fn chunk_order(n: usize, order: u32, rng: &mut StdRng) -> Vec<NodeId> {
     }
 }
 
-/// Every push order × every reset cut, deterministically: the chunk
+/// Every push order × every reset cut, deterministically: the block
 /// layout depends only on the order of pushed ids, so random cases would
 /// only repeat these sequences on other edges. The last graph mixes
 /// interior nodes (empty cut rows, never members) with boundary nodes.
 #[test]
-fn induced_slot_chunks_grow_and_recycle_exactly() {
+fn induced_mass_blocks_fill_and_recycle_exactly() {
     let mut graphs: Vec<_> = [64usize, 65, 130]
         .into_iter()
         .map(|n| random_graph(n, 3, n as u64))
         .collect();
-    // Interior nodes never become members, so their words' chunks hold
-    // only the boundary nodes among them.
+    // Interior nodes never become members, so their words' blocks hold
+    // mass only for the boundary nodes among them.
     let (g, p) = mixed_graph(150, 150);
     let interior = (0..150).filter(|&v| {
         g.neighbors(v)
@@ -379,7 +379,7 @@ fn induced_slot_chunks_grow_and_recycle_exactly() {
             for (g, p) in &graphs {
                 let n = g.num_nodes();
                 let ctx = ObservationContext::new(g, p);
-                let nodes = chunk_order(n, order, &mut StdRng::seed_from_u64(cut as u64));
+                let nodes = block_order(n, order, &mut StdRng::seed_from_u64(cut as u64));
                 let w: Vec<f64> = nodes.iter().map(|&v| g.degree(v) as f64 + 0.5).collect();
                 let at = format!("n {n} order {order} cut {cut}");
 
@@ -427,28 +427,85 @@ fn induced_slot_chunks_grow_and_recycle_exactly() {
     }
 }
 
-/// Every cut row is the adjacency row filtered to other categories, in
-/// order — on a planted partition and on one whose first category holds
-/// 99% of the nodes.
+/// Every cut row is the adjacency row filtered to other categories, then
+/// stably sorted by category, and each category's group is as long as the
+/// node's histogram count for it — on a planted partition and on one
+/// whose first category holds 99% of the nodes.
 #[test]
 fn cut_rows_are_neighbors_in_other_categories() {
+    // Rows whose grouped order differs from their id order.
+    let mut regrouped = 0;
     for (g, p) in [fixture(19), skewed_graph()] {
         let index = NeighborCategoryIndex::build(&g, &p);
         let ctx = ObservationContext::new(&g, &p);
         let n = g.num_nodes() as NodeId;
         let mut boundary = 0;
         for v in 0..n {
-            let want: Vec<NodeId> = g
+            let cv = p.category_of(v);
+            let mut want: Vec<NodeId> = g
                 .neighbors(v)
                 .iter()
                 .copied()
-                .filter(|&u| p.category_of(u) != p.category_of(v))
+                .filter(|&u| p.category_of(u) != cv)
                 .collect();
+            want.sort_by_key(|&u| p.category_of(u));
             assert_eq!(index.cut_neighbors(v), &want[..], "node {v}");
             assert_eq!(ctx.cut_neighbors(v), &want[..], "node {v}");
+            let mut rest = index.cut_neighbors(v);
+            for &(b, count) in index.neighbor_categories(v) {
+                if b == cv {
+                    continue;
+                }
+                let (group, tail) = rest.split_at(count as usize);
+                assert!(group.iter().all(|&u| p.category_of(u) == b), "node {v}");
+                rest = tail;
+            }
+            assert!(rest.is_empty(), "node {v}");
             boundary += usize::from(!want.is_empty());
+            regrouped += usize::from(!want.is_sorted());
         }
         assert!(0 < boundary && boundary < n as usize, "{boundary} of {n}");
+    }
+    assert!(regrouped > 0, "no row's groups reorder its ids");
+}
+
+/// A non-member's term is exactly `+0.0` even when `1/w` is `+∞`: on a
+/// walk whose every fifth sample has the least subnormal weight, no
+/// numerator is NaN and the estimates equal the batch path's bit for bit,
+/// at every prefix.
+#[test]
+fn subnormal_weights_match_the_batch_path_bit_for_bit() {
+    let (g, p) = fixture(23);
+    let ctx = ObservationContext::new(&g, &p);
+    let nodes = draw(&g, 300, 23, true);
+    let w: Vec<f64> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            if i % 5 == 4 {
+                f64::from_bits(1)
+            } else {
+                g.degree(v) as f64 + 0.25
+            }
+        })
+        .collect();
+    let mut acc = InducedAccumulator::new(3);
+    for i in 0..nodes.len() {
+        acc.push(&ctx, nodes[i], w[i]);
+        assert!(
+            acc.weight_numerators()
+                .iter_upper()
+                .all(|(_, _, x)| !x.is_nan()),
+            "NaN numerator at prefix {}",
+            i + 1
+        );
+        let sample = InducedSample::observe_with_weights(&g, &p, &nodes[..=i], w[..=i].to_vec());
+        assert_eq!(
+            matrix_bits(&induced_weights_acc(&acc)),
+            matrix_bits(&induced_weights_all(&sample)),
+            "prefix {}",
+            i + 1
+        );
     }
 }
 

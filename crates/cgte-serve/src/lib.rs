@@ -646,7 +646,7 @@ fn metrics(state: &ServerState) -> String {
     emit(
         "cgte_serve_session_heap_bytes",
         "gauge",
-        "Heap bytes of open sessions' observation streams, as of each session's last ingest: one push log each (12 B per sample), plus a membership bitset (n/8 B) and induced slot pool once the session samples a node with a neighbor in another category.",
+        "Heap bytes of open sessions' observation streams, as of each session's last ingest: one push log each (12 B per sample), plus an induced block directory (n/16 B) and one 512 B mass block per 64-node word holding a sampled node with a neighbor in another category, plus a shared zero block, once the session samples such a node.",
         heap_bytes.to_string(),
     );
     emit(
@@ -1069,6 +1069,9 @@ fn estimate(state: &ServerState, id: &str, req: &http::Request) -> Result<String
     };
     let slot = get_session(state, id)?;
     let mut session = slot.session.lock().expect("session lock poisoned");
+    if let Some((_, reps)) = ci {
+        session::check_ci_budget(reps, session.len())?;
+    }
     Ok(session.estimate_json(ci))
 }
 

@@ -41,6 +41,18 @@ fn check_walk_budget(burn_in: usize, thinning: usize, steps: usize) -> Result<()
     Ok(())
 }
 
+/// Rejects (422) a `?ci=` request whose bootstrap would resample a
+/// `len`-sample session `reps` times: `reps · len` (saturating) may not
+/// exceed [`MAX_WALK_BUDGET`], the same bound as one walk ingest.
+pub(crate) fn check_ci_budget(reps: usize, len: usize) -> Result<(), ServeError> {
+    if reps.saturating_mul(len) > MAX_WALK_BUDGET {
+        return Err(ServeError::unprocessable(format!(
+            "ci budget reps*len = {reps}*{len} exceeds {MAX_WALK_BUDGET}"
+        )));
+    }
+    Ok(())
+}
+
 /// `.cgtes` section holding the registry name of the session's graph.
 pub const SEC_GRAPH: &str = "session.graph";
 /// `.cgtes` section holding the partition name (empty = default).

@@ -67,9 +67,10 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
     assert_eq!(st, 404);
     // First scrape, with s0 live: its stream's heap bytes cover at least
     // its one 300-entry push log of 12-byte entries plus the induced
-    // membership bitset over the graph's nodes (one u64 per 64 nodes),
-    // allocated at the walk's first node with a neighbor in another
-    // category, of which this planted graph has plenty. It
+    // block directory over the graph's nodes (one u32 per 64 nodes), the
+    // shared zero block and one 512-byte mass block, all allocated at the
+    // walk's first node with a neighbor in another category, of which
+    // this planted graph has plenty. It
     // is also counted under the metrics endpoint label so the second
     // scrape (the one we validate) can see it.
     let (st, live) = client.request("GET", "/metrics", "").unwrap();
@@ -79,9 +80,9 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .unwrap()
         .value("cgte_serve_session_heap_bytes")
         .unwrap();
-    let bitset = g.num_nodes().div_ceil(64) * 8;
+    let induced = g.num_nodes().div_ceil(64) * 4 + 2 * 512;
     assert!(
-        live_heap >= (300 * 12 + bitset) as f64,
+        live_heap >= (300 * 12 + induced) as f64,
         "live heap: {live_heap}"
     );
     let (st, _) = client.request("DELETE", "/sessions/s0", "").unwrap();

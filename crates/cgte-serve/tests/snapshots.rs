@@ -308,6 +308,43 @@ fn walk_budget_bounds_open_restore_and_ingest() {
     server.join();
 }
 
+/// A `?ci=` bootstrap resamples the whole session `reps` times, so
+/// `reps · len` is bounded by the walk budget: past it the estimate is a
+/// 422 before any replicate runs, and the session stays usable.
+#[test]
+fn ci_budget_bounds_reps_times_len() {
+    use cgte_serve::session::{MAX_BOOTSTRAP_REPS, MAX_WALK_BUDGET};
+    let dir = temp_store("ci_budget");
+    let (g, p) = planted();
+    write_graph(&dir, "planted", &g, &p);
+    let server = boot(&dir, |c| c);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (_, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        "{\"graph\":\"planted\",\"sampler\":\"rw\",\"seed\":3}",
+    );
+    let id = session_id(&body);
+    let len = MAX_WALK_BUDGET / MAX_BOOTSTRAP_REPS + 1;
+    let (st, _) = client.request_ok(
+        "POST",
+        &format!("/sessions/{id}/ingest"),
+        &format!("{{\"steps\":{len}}}"),
+    );
+    assert_eq!(st, 200);
+    let estimate = format!("/sessions/{id}/estimate?ci=0.9&reps=");
+    let (st, body) = client.request_ok("GET", &format!("{estimate}{MAX_BOOTSTRAP_REPS}"), "");
+    assert_eq!(st, 422, "{body}");
+    assert!(body.contains("ci budget"), "{body}");
+    let (st, body) = client.request_ok("GET", &format!("{estimate}20"), "");
+    assert_eq!(st, 200, "{body}");
+    assert!(body.contains("\"ci\""), "{body}");
+    let (st, _) = client.request_ok("GET", "/healthz", "");
+    assert_eq!(st, 200);
+    server.shutdown();
+    server.join();
+}
+
 /// Idle sessions past their TTL are evicted (lazily, on the next pass);
 /// in-flight handles are never reaped.
 #[test]
