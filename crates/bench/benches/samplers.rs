@@ -1,4 +1,6 @@
-//! P1: sampler throughput — nodes drawn per second for all five designs.
+//! P1: sampler throughput — nodes drawn per second for all five designs,
+//! and the S-WRW walk layer (draw and `weight_of`) on fig4's Texas
+//! stand-in.
 
 use cgte_graph::generators::{planted_partition, PlantedConfig};
 use cgte_sampling::{
@@ -45,5 +47,41 @@ fn bench_samplers(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(benches, bench_samplers);
+/// S-WRW's walk layer on fig4's Texas stand-in (the built-in scenario's
+/// seed, `scale_div` 8, spectral top-20 partition drawn from the same
+/// stream): a 30k-sample draw, and `weight_of` over those samples, the
+/// Hansen–Hurwitz weight every push reads.
+fn bench_swrw_walk_layer(c: &mut Criterion) {
+    use cgte_datasets::{standin, standin_partition, StandinKind};
+
+    let mut rng = StdRng::seed_from_u64(0x2012_5EED);
+    let g = standin(StandinKind::FacebookTexas, 8, &mut rng);
+    let p = standin_partition(&g, 20, true, &mut rng);
+    let swrw = Swrw::equal_category_target(&g, &p).unwrap();
+    let n = 30_000;
+    let nodes = swrw.clone().burn_in(1_000).sample(&g, n, &mut rng);
+    println!(
+        "swrw_walk_layer: {} nodes, {} edges, C = {}",
+        g.num_nodes(),
+        g.num_edges(),
+        p.num_categories()
+    );
+
+    let mut grp = c.benchmark_group("swrw_walk_layer");
+    grp.sample_size(20);
+    grp.bench_function("fig4_texas_draw_30k", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut out = Vec::with_capacity(n);
+        b.iter(|| {
+            swrw.sample_into(&g, n, &mut rng, &mut out);
+            black_box(out.len())
+        })
+    });
+    grp.bench_function("fig4_texas_weight_of_30k", |b| {
+        b.iter(|| black_box(nodes.iter().map(|&v| swrw.weight_of(&g, v)).sum::<f64>()))
+    });
+    grp.finish();
+}
+
+criterion_group!(benches, bench_samplers, bench_swrw_walk_layer);
 criterion_main!(benches);

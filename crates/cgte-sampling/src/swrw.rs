@@ -23,6 +23,11 @@ use rand::Rng;
 /// equal, which is what "equal category weights" targets — small categories
 /// (the paper's colleges, 3.5 % of users across 10 000+ categories) are
 /// oversampled by orders of magnitude relative to RW, as seen in Fig. 5.
+///
+/// Every constructor builds the inner walk table for the graph it is
+/// given (16 B per node: factor and strength, see [`WeightedRandomWalk`]),
+/// shared through an `Arc` by clones, so build one `Swrw` per graph and
+/// partition and clone it rather than rebuilding.
 #[derive(Debug, Clone)]
 pub struct Swrw {
     inner: WeightedRandomWalk,
@@ -30,11 +35,11 @@ pub struct Swrw {
 }
 
 impl Swrw {
-    /// S-WRW with explicit per-category weights `γ_C`.
+    /// S-WRW on `g` with explicit per-category weights `γ_C`.
     ///
-    /// Returns `None` if any weight is negative or non-finite, or if the
-    /// partition is empty.
-    pub fn new(p: &Partition, category_weights: Vec<f64>) -> Option<Self> {
+    /// Returns `None` if any weight is negative or non-finite, if there is
+    /// not one weight per category, or if `p` does not cover `g`'s nodes.
+    pub fn new(g: &Graph, p: &Partition, category_weights: Vec<f64>) -> Option<Self> {
         if category_weights.len() != p.num_categories() {
             return None;
         }
@@ -43,7 +48,7 @@ impl Swrw {
             .iter()
             .map(|&c| category_weights[c as usize])
             .collect();
-        let inner = WeightedRandomWalk::new(factors)?;
+        let inner = WeightedRandomWalk::new(g, factors)?;
         Some(Swrw {
             inner,
             category_weights,
@@ -89,7 +94,7 @@ impl Swrw {
             .iter()
             .map(|&x| if x > 0.0 { x.powf(-beta) } else { 0.0 })
             .collect();
-        Self::new(p, weights)
+        Self::new(g, p, weights)
     }
 
     /// Discards the first `steps` visited nodes.
@@ -108,6 +113,11 @@ impl Swrw {
     pub fn start_at(mut self, v: NodeId) -> Self {
         self.inner = self.inner.start_at(v);
         self
+    }
+
+    /// The per-node factors `γ_{C(u)}` of the walk table.
+    pub fn factors(&self) -> &[f64] {
+        self.inner.factors()
     }
 
     /// The per-category weights `γ_C`.
@@ -155,8 +165,11 @@ mod tests {
     #[test]
     fn rejects_mismatched_weights() {
         let p = Partition::trivial(4);
-        assert!(Swrw::new(&p, vec![1.0, 2.0]).is_none());
-        assert!(Swrw::new(&p, vec![-1.0]).is_none());
+        let g = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        assert!(Swrw::new(&g, &p, vec![1.0, 2.0]).is_none());
+        assert!(Swrw::new(&g, &p, vec![-1.0]).is_none());
+        let smaller = GraphBuilder::from_edges(3, [(0, 1), (1, 2)]).unwrap();
+        assert!(Swrw::new(&smaller, &p, vec![1.0]).is_none());
     }
 
     #[test]
@@ -229,7 +242,7 @@ mod tests {
     fn builder_methods_chain() {
         let p = Partition::trivial(4);
         let g = GraphBuilder::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let swrw = Swrw::new(&p, vec![1.0])
+        let swrw = Swrw::new(&g, &p, vec![1.0])
             .unwrap()
             .burn_in(5)
             .thinning(2)

@@ -14,7 +14,7 @@ use cgte_core::edge_weight::{induced_weights_all, star_weights_all};
 use cgte_core::{CategoryGraphEstimator, Design, SizeMethod};
 use cgte_datasets::{CrawlDataset, CrawlType, FacebookSim};
 use cgte_eval::{median, Table};
-use cgte_graph::{CategoryGraph, CategoryId, CategoryMatrix, NodeId, Partition};
+use cgte_graph::{CategoryGraph, CategoryId, CategoryMatrix, Partition};
 use cgte_sampling::{NodeSampler, StarSample, Swrw};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -565,17 +565,13 @@ pub fn ablation_swrw(ctx: &StageCtx<'_>) -> Result<JobOutput, EngineError> {
     let population = sim.graph.num_nodes() as f64;
     let truth: Vec<f64> = p.sizes().iter().map(|&s| s as f64).collect();
 
-    // Per-category volumes, for γ_C = vol(C)^(-β).
-    let mut vol = vec![0f64; p.num_categories()];
-    for v in 0..sim.graph.num_nodes() {
-        vol[p.category_of(v as NodeId) as usize] += sim.graph.degree(v as NodeId) as f64;
+    if !(beta.is_finite() && beta >= 0.0) {
+        return Err(EngineError::msg(format!(
+            "S-WRW beta must be finite and >= 0, got {beta}"
+        )));
     }
     let colleges: Vec<usize> = (0..n_colleges).collect();
-    let gamma: Vec<f64> = vol
-        .iter()
-        .map(|&x| if x > 0.0 { x.powf(-beta) } else { 0.0 })
-        .collect();
-    let swrw = Swrw::new(p, gamma)
+    let swrw = Swrw::stratified(&sim.graph, p, beta)
         .ok_or_else(|| EngineError::msg("invalid S-WRW weights"))?
         .burn_in(1000);
     let mut col = Vec::new();

@@ -1255,15 +1255,15 @@ pub fn single_box_reference(
 ) -> Result<ObservationStream, ClusterError> {
     let mut merged = ObservationStream::new(ctx.num_categories());
     let mut nodes = Vec::new();
+    let (sampler, design) = build_sampler(
+        graph,
+        partition,
+        &cfg.sampler,
+        cfg.design.as_deref(),
+        cfg.burn_in,
+        cfg.thinning,
+    )?;
     for i in 0..cfg.walkers {
-        let (sampler, design) = build_sampler(
-            graph,
-            partition,
-            &cfg.sampler,
-            cfg.design.as_deref(),
-            cfg.burn_in,
-            cfg.thinning,
-        )?;
         let mut rng = StdRng::seed_from_u64(derive_walker_seed(cfg.seed, i));
         let mut remaining = cfg.steps_per_walker;
         while remaining > 0 {

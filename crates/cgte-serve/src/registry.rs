@@ -10,12 +10,13 @@
 //! [`NeighborCategoryIndex`], the expensive half of an
 //! [`ObservationContext`](cgte_sampling::ObservationContext), chunked
 //! across the worker count and recombined through the index's bit-exact
-//! `merge`.
+//! `merge`, and, on its first S-WRW session, one shared [`Swrw`] walk
+//! table.
 
 use crate::ServeError;
 use cgte_graph::store::{LoadedStore, Loader, Validate};
 use cgte_graph::{Graph, NodeId, Partition};
-use cgte_sampling::NeighborCategoryIndex;
+use cgte_sampling::{NeighborCategoryIndex, Swrw};
 use cgte_scenarios::cache::{disk_entries, DiskEntry};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A loaded graph with its named partitions and per-partition shared
-/// neighbor-category indexes.
+/// neighbor-category indexes and S-WRW walk tables.
 pub struct LoadedGraph {
     /// The registry name (file stem).
     pub name: String,
@@ -32,9 +33,21 @@ pub struct LoadedGraph {
     /// Named partitions, in file order.
     pub partitions: Vec<(String, Partition)>,
     indexes: Vec<OnceLock<Arc<NeighborCategoryIndex>>>,
+    swrw: Vec<OnceLock<Option<Swrw>>>,
 }
 
 impl LoadedGraph {
+    /// A loaded graph with nothing built yet for its partitions.
+    pub(crate) fn new(name: String, graph: Graph, partitions: Vec<(String, Partition)>) -> Self {
+        LoadedGraph {
+            indexes: partitions.iter().map(|_| OnceLock::new()).collect(),
+            swrw: partitions.iter().map(|_| OnceLock::new()).collect(),
+            name,
+            graph,
+            partitions,
+        }
+    }
+
     /// Index of the named partition.
     pub fn partition_idx(&self, name: &str) -> Option<usize> {
         self.partitions.iter().position(|(n, _)| n == name)
@@ -50,6 +63,17 @@ impl LoadedGraph {
             let p = &self.partitions[i].1;
             Arc::new(build_index_parallel(&self.graph, p, threads))
         }))
+    }
+
+    /// The S-WRW sampler of partition `i` (equal category targets, no
+    /// burn-in), building its walk table on first use: one `O(N + E)`
+    /// pass, 16 B per node. Every later call clones the `Arc`'d table, so
+    /// S-WRW sessions on one partition share it. `None` if the partition
+    /// admits no S-WRW.
+    pub fn swrw(&self, i: usize) -> Option<Swrw> {
+        self.swrw[i]
+            .get_or_init(|| Swrw::equal_category_target(&self.graph, &self.partitions[i].1))
+            .clone()
     }
 }
 
@@ -212,13 +236,7 @@ impl Registry {
                 }
             }
         }
-        let indexes = partitions.iter().map(|_| OnceLock::new()).collect();
-        let lg = Arc::new(LoadedGraph {
-            name: name.to_string(),
-            graph,
-            partitions,
-            indexes,
-        });
+        let lg = Arc::new(LoadedGraph::new(name.to_string(), graph, partitions));
         self.loads.fetch_add(1, Ordering::SeqCst);
         eprintln!(
             "serve: loaded graph {name:?} ({} nodes, {} edges, {} partition(s), {})",

@@ -90,11 +90,33 @@ pub struct SessionSpec {
 /// design a session would run.
 ///
 /// This is the **one** construction path: `Session::open` and the cluster
-/// coordinator's single-box reference both call it, so a shard session
-/// and a local replay of the same spec are bit-identical by construction.
+/// coordinator's single-box reference both reach [`build_sampler_with`],
+/// so a shard session and a local replay of the same spec are
+/// bit-identical by construction. This form builds its own S-WRW walk
+/// table (`O(N + E)`); call it once per run, not once per walker.
 pub fn build_sampler(
     graph: &Graph,
     p: &Partition,
+    sampler: &str,
+    design: Option<&str>,
+    burn_in: usize,
+    thinning: usize,
+) -> Result<(AnySampler, DesignKind), ServeError> {
+    build_sampler_with(
+        || Swrw::equal_category_target(graph, p),
+        sampler,
+        design,
+        burn_in,
+        thinning,
+    )
+}
+
+/// [`build_sampler`] with the base S-WRW (equal category targets, no
+/// burn-in) supplied by `swrw`, which runs only for the `swrw` key — a
+/// session passes its partition's shared [`LoadedGraph::swrw`] so that no
+/// session open builds a walk table.
+pub fn build_sampler_with(
+    swrw: impl FnOnce() -> Option<Swrw>,
     sampler: &str,
     design: Option<&str>,
     burn_in: usize,
@@ -110,7 +132,7 @@ pub fn build_sampler(
                 .thinning(thinning),
         ),
         "swrw" => {
-            let s = Swrw::equal_category_target(graph, p)
+            let s = swrw()
                 .ok_or_else(|| {
                     ServeError::unprocessable("cannot build S-WRW for this graph/partition")
                 })?
@@ -196,9 +218,8 @@ impl Session {
         let p = &graph.partitions[part_idx].1;
         let thinning = spec.thinning.max(1);
         check_walk_budget(spec.burn_in, thinning, 1)?;
-        let (sampler, design) = build_sampler(
-            &graph.graph,
-            p,
+        let (sampler, design) = build_sampler_with(
+            || graph.swrw(part_idx),
             &spec.sampler,
             spec.design.as_deref(),
             spec.burn_in,
@@ -247,9 +268,13 @@ impl Session {
         self.stream.is_empty()
     }
 
-    /// Heap bytes held by the session's observation stream.
+    /// Heap bytes the session holds: its observation stream and its walk
+    /// draw buffer (4 B per sample of the largest walk batch so far). The
+    /// neighbor-category index and the S-WRW walk table are shared by every
+    /// session on the partition and belong to the graph, so they are not
+    /// counted here.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stream.heap_bytes()
+        self.stream.heap_bytes() + self.scratch.capacity() * std::mem::size_of::<NodeId>()
     }
 
     /// The population size `N` estimates are scaled by.
@@ -517,6 +542,11 @@ impl Session {
         self.design
     }
 
+    /// The session's sampler (for tests).
+    pub fn sampler(&self) -> &AnySampler {
+        &self.sampler
+    }
+
     /// The graph this session observes.
     pub fn graph_name(&self) -> &str {
         &self.graph.name
@@ -629,5 +659,36 @@ impl Session {
         );
         session.stream = snapshot::stream_from_container(c, &ctx).map_err(|e| bad(&e))?;
         Ok(session)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgte_graph::GraphBuilder;
+
+    #[test]
+    fn heap_bytes_count_the_walk_draw_buffer() {
+        let n = 1000;
+        let g = GraphBuilder::from_edges(n, (0..n as NodeId).map(|u| (u, (u + 1) % n as NodeId)))
+            .unwrap();
+        let p = Partition::blocks(n, &[n / 2; 2]).unwrap();
+        let lg = Arc::new(LoadedGraph::new(
+            "ring".to_string(),
+            g,
+            vec![("main".to_string(), p)],
+        ));
+        let spec = SessionSpec {
+            graph: "ring".to_string(),
+            partition: None,
+            sampler: "rw".to_string(),
+            design: None,
+            seed: 1,
+            burn_in: 0,
+            thinning: 1,
+        };
+        let mut s = Session::open("s0".to_string(), lg, &spec, 1).unwrap();
+        s.ingest_steps(10_000).unwrap();
+        assert!(s.heap_bytes() >= s.stream.heap_bytes() + 10_000 * 4);
     }
 }

@@ -6,7 +6,7 @@
 //! contract: scrape traffic (`/healthz`, `/metrics`) is counted under
 //! its own endpoint label and **excluded** from the aggregate request
 //! counter. The per-session heap gauge reads the open sessions' stream
-//! memory and drops back when they close.
+//! and walk-buffer memory and drops back when they close.
 
 mod common;
 
@@ -65,12 +65,13 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .request("GET", "/sessions/nope/estimate", "")
         .unwrap();
     assert_eq!(st, 404);
-    // First scrape, with s0 live: its stream's heap bytes cover at least
-    // its one 300-entry push log of 12-byte entries plus the induced
+    // First scrape, with s0 live: its heap bytes cover at least its
+    // stream's one 300-entry push log of 12-byte entries plus the induced
     // block directory over the graph's nodes (one u32 per 64 nodes), the
     // shared zero block and one 512-byte mass block, all allocated at the
     // walk's first node with a neighbor in another category, of which
-    // this planted graph has plenty. It
+    // this planted graph has plenty, plus the walk draw buffer of the
+    // 300-step batch (one u32 per sample). It
     // is also counted under the metrics endpoint label so the second
     // scrape (the one we validate) can see it.
     let (st, live) = client.request("GET", "/metrics", "").unwrap();
@@ -82,7 +83,7 @@ fn exposition_validates_and_endpoint_accounting_is_exact() {
         .unwrap();
     let induced = g.num_nodes().div_ceil(64) * 4 + 2 * 512;
     assert!(
-        live_heap >= (300 * 12 + induced) as f64,
+        live_heap >= (300 * 12 + induced + 300 * 4) as f64,
         "live heap: {live_heap}"
     );
     let (st, _) = client.request("DELETE", "/sessions/s0", "").unwrap();
