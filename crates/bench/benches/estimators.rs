@@ -213,10 +213,74 @@ fn bench_induced_push(c: &mut Criterion) {
     grp.finish();
 }
 
+/// A server-side walk ingest (`Session::ingest_steps`) on a graph shaped
+/// like the serve workload's 1M-node headline graph (Chung–Lu, γ = 2.5,
+/// mean degree 10, top-50 communities + rest): 500-step RW batches, each
+/// from a fresh seed, so every batch starts cold. `draw_then_push` walks
+/// the whole batch into a buffer and then pushes it; `ingest_walk` pushes
+/// each node as the walk draws it, so the push's cache misses overlap the
+/// walk's. Both fold the same nodes into the same stream, which is reset
+/// every 100 batches like a 50k-sample session.
+fn bench_ingest_walk(c: &mut Criterion) {
+    use cgte_datasets::standin_partition;
+    use cgte_graph::generators::{par_chung_lu, powerlaw_weights, scale_to_mean};
+    use cgte_sampling::{DesignKind, ObservationContext, ObservationStream, RandomWalk, WalkStats};
+
+    let n = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut w = powerlaw_weights(n, 2.5, 2.0, (n as f64).sqrt(), &mut rng);
+    scale_to_mean(&mut w, 10.0);
+    let g = par_chung_lu(&w, 23, 0);
+    let p = standin_partition(&g, 50, false, &mut rng);
+    let ctx = ObservationContext::new(&g, &p);
+    let rw = RandomWalk::new();
+    let design = DesignKind::Weighted;
+    println!(
+        "ingest_walk: {} nodes, {} edges, C = {}",
+        g.num_nodes(),
+        g.num_edges(),
+        p.num_categories()
+    );
+
+    let mut grp = c.benchmark_group("ingest_walk");
+    grp.sample_size(10);
+    let mut stream = ObservationStream::new(p.num_categories());
+    let mut stats = WalkStats::default();
+    let mut seed = 0u64;
+    let mut next_batch = |stream: &mut ObservationStream| {
+        if stream.len() >= 50_000 {
+            stream.reset();
+        }
+        seed += 1;
+        StdRng::seed_from_u64(seed)
+    };
+    let mut nodes = Vec::new();
+    grp.bench_function("draw_then_push", |b| {
+        b.iter(|| {
+            let mut rng = next_batch(&mut stream);
+            rw.try_sample_into_stats(&g, 500, &mut rng, &mut nodes, &mut stats)
+                .expect("the graph has edges");
+            stream.ingest_sampler(&ctx, &nodes, &rw, design);
+            black_box(stream.len())
+        })
+    });
+    grp.bench_function("ingest_walk", |b| {
+        b.iter(|| {
+            let mut rng = next_batch(&mut stream);
+            stream
+                .ingest_walk(&ctx, &rw, design, 500, &mut rng, &mut stats)
+                .expect("the graph has edges");
+            black_box(stream.len())
+        })
+    });
+    grp.finish();
+}
+
 criterion_group!(
     benches,
     bench_estimators,
     bench_prefix_evaluation,
-    bench_induced_push
+    bench_induced_push,
+    bench_ingest_walk
 );
 criterion_main!(benches);

@@ -43,21 +43,19 @@ impl BreadthFirst {
 impl NodeSampler for BreadthFirst {
     // A BFS "step" is one dequeued node, so the trivial accounting
     // (steps = retained) is exact; the search may stop short of `n` when
-    // the graph is exhausted, which is why stats use `out.len()`.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    // the graph is exhausted, which is why stats count the emitted nodes.
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
         if g.num_nodes() == 0 {
             return Err(SampleError::EmptyGraph);
         }
         let mut visited = vec![false; g.num_nodes()];
-        out.clear();
-        out.reserve(n);
         let mut queue: VecDeque<NodeId> = VecDeque::new();
         let seed = |visited: &[bool], rng: &mut R| -> Option<NodeId> {
             if let Some(s) = self.start {
@@ -75,7 +73,8 @@ impl NodeSampler for BreadthFirst {
             (0..g.num_nodes() as NodeId).find(|&v| !visited[v as usize])
         };
         let mut scratch: Vec<NodeId> = Vec::new();
-        while out.len() < n {
+        let mut retained = 0;
+        while retained < n {
             if queue.is_empty() {
                 match seed(&visited, rng) {
                     Some(s) => {
@@ -86,7 +85,8 @@ impl NodeSampler for BreadthFirst {
                 }
             }
             let u = queue.pop_front().expect("non-empty queue");
-            out.push(u);
+            emit(u);
+            retained += 1;
             scratch.clear();
             scratch.extend_from_slice(g.neighbors(u));
             scratch.shuffle(rng);
@@ -98,8 +98,8 @@ impl NodeSampler for BreadthFirst {
             }
         }
         *stats = WalkStats {
-            retained: out.len(),
-            steps: out.len(),
+            retained,
+            steps: retained,
             burn_in: 0,
             thinning: 1,
             rejections: 0,

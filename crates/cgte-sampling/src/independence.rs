@@ -15,21 +15,19 @@ pub struct UniformIndependence;
 
 impl NodeSampler for UniformIndependence {
     // One draw per retained node: stats are exact by construction.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
         if g.num_nodes() == 0 {
             return Err(SampleError::EmptyGraph);
         }
-        out.clear();
-        out.reserve(n);
         for _ in 0..n {
-            out.push(rng.gen_range(0..g.num_nodes() as NodeId));
+            emit(rng.gen_range(0..g.num_nodes() as NodeId));
         }
         *stats = WalkStats {
             retained: n,
@@ -90,13 +88,13 @@ impl WeightedIndependence {
 
 impl NodeSampler for WeightedIndependence {
     // One alias-table draw per retained node; stats exact by construction.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
         if g.num_nodes() == 0 {
             return Err(SampleError::EmptyGraph);
@@ -106,10 +104,8 @@ impl NodeSampler for WeightedIndependence {
             g.num_nodes(),
             "weight vector does not cover the graph"
         );
-        out.clear();
-        out.reserve(n);
         for _ in 0..n {
-            out.push(self.table.sample(rng) as NodeId);
+            emit(self.table.sample(rng) as NodeId);
         }
         *stats = WalkStats {
             retained: n,

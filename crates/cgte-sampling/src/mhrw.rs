@@ -1,6 +1,6 @@
 //! Metropolis–Hastings random walk (§3.1.2).
 
-use crate::random_walk::random_start;
+use crate::random_walk::walk_start;
 use crate::{DesignKind, NodeSampler, SampleError, WalkStats};
 use cgte_graph::{Graph, NodeId};
 use rand::Rng;
@@ -78,30 +78,25 @@ impl MetropolisHastingsWalk {
 }
 
 impl NodeSampler for MetropolisHastingsWalk {
-    // Rejections are counted inline in the one walk loop; the wrapper
+    // Rejections are counted inline in the one walk loop; the buffered
     // entry points are the trait defaults over this core.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
-        out.clear();
-        out.reserve(n);
         let mut rejections = 0usize;
-        let mut cur = match self.start {
-            Some(v) => v,
-            None => random_start(g, rng)?,
-        };
+        let mut cur = walk_start(g, self.start, rng)?;
         for _ in 0..self.burn_in {
             let (next, accepted) = Self::step(g, cur, rng);
             rejections += usize::from(!accepted);
             cur = next;
         }
-        while out.len() < n {
-            out.push(cur);
+        for _ in 0..n {
+            emit(cur);
             for _ in 0..self.thinning {
                 let (next, accepted) = Self::step(g, cur, rng);
                 rejections += usize::from(!accepted);
@@ -109,7 +104,7 @@ impl NodeSampler for MetropolisHastingsWalk {
             }
         }
         *stats = WalkStats {
-            retained: out.len(),
+            retained: n,
             steps: self.burn_in + n * self.thinning,
             burn_in: self.burn_in,
             thinning: self.thinning,

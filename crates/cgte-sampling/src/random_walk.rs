@@ -4,24 +4,32 @@ use crate::{DesignKind, NodeSampler, SampleError, WalkStats};
 use cgte_graph::{Graph, NodeId};
 use rand::Rng;
 
-/// Picks a uniform starting node among those with at least one edge.
+/// The node a walk starts from: the fixed `start` if one is set, else a
+/// uniform node among those with at least one edge.
+///
+/// Unusable graphs — no nodes, or no edges so no walk could move — surface
+/// as a typed [`SampleError`] rather than a panic, so services can reject
+/// the request instead of losing a worker thread. The check comes first
+/// even for a fixed start, so a walk fails before it emits any node.
 ///
 /// Rejection sampling is bounded: on graphs dominated by isolated nodes
 /// (where naive rejection could loop for an arbitrarily long time), the
 /// non-isolated node list is materialized after a fixed number of misses
 /// and the start is drawn from it directly. Graphs where most nodes have
 /// edges keep the allocation-free fast path.
-///
-/// Unusable graphs — no nodes, or no edges so the fallback list would be
-/// empty and no walk could move — surface as a typed [`SampleError`]
-/// rather than a panic, so services can reject the request instead of
-/// losing a worker thread.
-pub(crate) fn random_start<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Result<NodeId, SampleError> {
+pub(crate) fn walk_start<R: Rng + ?Sized>(
+    g: &Graph,
+    start: Option<NodeId>,
+    rng: &mut R,
+) -> Result<NodeId, SampleError> {
     if g.num_nodes() == 0 {
         return Err(SampleError::EmptyGraph);
     }
     if g.num_edges() == 0 {
         return Err(SampleError::EdgelessGraph);
+    }
+    if let Some(v) = start {
+        return Ok(v);
     }
     const MAX_REJECTIONS: usize = 64;
     for _ in 0..MAX_REJECTIONS {
@@ -100,34 +108,28 @@ impl RandomWalk {
 
 impl NodeSampler for RandomWalk {
     // RW never rejects, so the stats are pure arithmetic on top of the
-    // plain walk loop — zero per-step overhead, and the wrapper entry
-    // points (`sample`, `sample_into`, `try_sample_into`) inherit the
-    // identical RNG sequence from the trait defaults.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    // plain walk loop — zero per-step overhead, and the buffered entry
+    // points inherit the identical RNG sequence from the trait defaults.
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
-        out.clear();
-        out.reserve(n);
-        let mut cur = match self.start {
-            Some(v) => v,
-            None => random_start(g, rng)?,
-        };
+        let mut cur = walk_start(g, self.start, rng)?;
         for _ in 0..self.burn_in {
             cur = Self::step(g, cur, rng);
         }
-        while out.len() < n {
-            out.push(cur);
+        for _ in 0..n {
+            emit(cur);
             for _ in 0..self.thinning {
                 cur = Self::step(g, cur, rng);
             }
         }
         *stats = WalkStats {
-            retained: out.len(),
+            retained: n,
             steps: self.burn_in + n * self.thinning,
             burn_in: self.burn_in,
             thinning: self.thinning,
@@ -261,7 +263,7 @@ mod tests {
         let g = GraphBuilder::from_edges(4, [(0, 1)]).unwrap(); // 2, 3 isolated
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let v = random_start(&g, &mut rng).unwrap();
+            let v = walk_start(&g, None, &mut rng).unwrap();
             assert!(v == 0 || v == 1);
         }
     }
@@ -320,7 +322,7 @@ mod tests {
         let g = GraphBuilder::from_edges(100_000, [(123, 456)]).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..20 {
-            let v = random_start(&g, &mut rng).unwrap();
+            let v = walk_start(&g, None, &mut rng).unwrap();
             assert!(v == 123 || v == 456);
         }
     }

@@ -38,8 +38,9 @@
 //! ```
 
 use crate::observe::{InducedAccumulator, ObservationContext, StarAccumulator};
-use crate::{DesignKind, NodeSampler};
+use crate::{DesignKind, NodeSampler, SampleError, WalkStats};
 use cgte_graph::NodeId;
+use rand::Rng;
 
 /// Both observation scenarios' incremental state over one sample stream.
 ///
@@ -131,12 +132,37 @@ impl ObservationStream {
     ) {
         self.star.reserve(nodes.len());
         for &v in nodes {
-            let w = match design {
-                DesignKind::Uniform => 1.0,
-                DesignKind::Weighted => sampler.weight_of(ctx.graph(), v),
-            };
-            self.push(ctx, v, w);
+            self.push(ctx, v, design_weight(sampler, design, ctx, v));
         }
+    }
+
+    /// Draws `n` nodes from `sampler` and pushes each one, with the weight
+    /// [`ObservationStream::ingest_sampler`] would give it, as soon as the
+    /// draw emits it ([`NodeSampler::try_sample_each`]). The stream reaches
+    /// the state `try_sample_into_stats` + `ingest_sampler` reach on the
+    /// same RNG, bit for bit, with no node buffer in between; on a
+    /// 1M-node graph the push's cache misses then overlap the walk's.
+    ///
+    /// The log is reserved for the batch at the first node, so a draw that
+    /// fails (it fails before emitting anything) leaves the stream exactly
+    /// as it was, allocations included.
+    pub fn ingest_walk<S: NodeSampler + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        ctx: &ObservationContext<'_>,
+        sampler: &S,
+        design: DesignKind,
+        n: usize,
+        rng: &mut R,
+        stats: &mut WalkStats,
+    ) -> Result<(), SampleError> {
+        let mut reserved = false;
+        sampler.try_sample_each(ctx.graph(), n, rng, stats, |v| {
+            if !reserved {
+                self.star.reserve(n);
+                reserved = true;
+            }
+            self.push(ctx, v, design_weight(sampler, design, ctx, v));
+        })
     }
 
     /// Folds another stream's observations into this one by replaying its
@@ -192,6 +218,21 @@ impl ObservationStream {
     #[inline]
     pub fn log(&self) -> (&[NodeId], &[f64]) {
         self.star.log()
+    }
+}
+
+/// The design weight of a sampled node: `w(v)` under a weighted design,
+/// 1 under a uniform one.
+#[inline]
+fn design_weight<S: NodeSampler + ?Sized>(
+    sampler: &S,
+    design: DesignKind,
+    ctx: &ObservationContext<'_>,
+    v: NodeId,
+) -> f64 {
+    match design {
+        DesignKind::Uniform => 1.0,
+        DesignKind::Weighted => sampler.weight_of(ctx.graph(), v),
     }
 }
 

@@ -134,15 +134,15 @@ impl Swrw {
 impl NodeSampler for Swrw {
     // Forwarding the one required core to the inner WRW is enough: the
     // wrapper entry points are trait defaults over it on both types.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
-        self.inner.try_sample_into_stats(g, n, rng, out, stats)
+        self.inner.try_sample_each(g, n, rng, stats, emit)
     }
 
     fn design(&self) -> DesignKind {

@@ -49,12 +49,12 @@ pub enum DesignKind {
 /// retained sample actually cost (§6 studies exactly this sampling-cost
 /// vs estimation-error trade-off).
 ///
-/// Filled by [`NodeSampler::try_sample_into_stats`]. For independence
+/// Filled by [`NodeSampler::try_sample_each`]. For independence
 /// designs a "step" is one draw; for crawls it is one chain transition,
 /// so `steps = burn_in + retained × thinning`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalkStats {
-    /// Nodes written to the output buffer.
+    /// Nodes emitted.
     pub retained: usize,
     /// Total chain transitions (or independent draws) performed.
     pub steps: usize,
@@ -74,14 +74,32 @@ pub struct WalkStats {
 /// a constant, which is all the ratio estimators of §5 require.
 pub trait NodeSampler {
     /// The one required drawing method — the canonical core every other
-    /// entry point is a default wrapper over. Draws `n` nodes into `out`
-    /// (clearing it first), reports unusable input graphs (empty, or
-    /// edgeless for crawls) as a typed [`SampleError`], and fills `stats`
-    /// with the draw's cost accounting.
+    /// entry point is a default wrapper over. Draws `n` nodes and hands
+    /// each retained node to `emit` as soon as it is drawn, in draw order,
+    /// so a caller can fold a node into its statistics while the walk's
+    /// next step is still in flight
+    /// ([`ObservationStream::ingest_walk`](crate::ObservationStream::ingest_walk)).
+    /// Fills `stats` with the draw's cost accounting.
+    ///
+    /// Unusable input graphs (empty, or edgeless for crawls) are reported
+    /// as a typed [`SampleError`] **before the first node is emitted**, so
+    /// a failed draw leaves whatever `emit` feeds untouched.
     ///
     /// Crawling samplers interpret `n` as the number of *retained* samples
     /// (after burn-in and thinning). Observing stats must not perturb the
     /// draw: the RNG sequence depends only on `(g, n, rng)`.
+    fn try_sample_each<R: Rng + ?Sized>(
+        &self,
+        g: &Graph,
+        n: usize,
+        rng: &mut R,
+        stats: &mut WalkStats,
+        emit: impl FnMut(NodeId),
+    ) -> Result<(), SampleError>;
+
+    /// [`NodeSampler::try_sample_each`] into a buffer: draws `n` nodes
+    /// into `out` (clearing it first). Identical draw and stats given the
+    /// same RNG state.
     fn try_sample_into_stats<R: Rng + ?Sized>(
         &self,
         g: &Graph,
@@ -89,7 +107,11 @@ pub trait NodeSampler {
         rng: &mut R,
         out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
-    ) -> Result<(), SampleError>;
+    ) -> Result<(), SampleError> {
+        out.clear();
+        out.reserve(n);
+        self.try_sample_each(g, n, rng, stats, |v| out.push(v))
+    }
 
     /// Like [`NodeSampler::try_sample_into_stats`], without the cost
     /// accounting. Identical draw given the same RNG state.
@@ -176,23 +198,23 @@ impl AnySampler {
 impl NodeSampler for AnySampler {
     // Only the required core needs forwarding: every other entry point is
     // a trait default over it, so dispatching here makes the enum's
-    // `sample`/`sample_into`/`try_sample_into` bit-identical to calling
-    // the variant directly.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    // `sample`/`sample_into`/`try_sample_into_stats` bit-identical to
+    // calling the variant directly.
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
         match self {
-            AnySampler::Uis(s) => s.try_sample_into_stats(g, n, rng, out, stats),
-            AnySampler::Wis(s) => s.try_sample_into_stats(g, n, rng, out, stats),
-            AnySampler::Rw(s) => s.try_sample_into_stats(g, n, rng, out, stats),
-            AnySampler::Mhrw(s) => s.try_sample_into_stats(g, n, rng, out, stats),
-            AnySampler::Wrw(s) => s.try_sample_into_stats(g, n, rng, out, stats),
-            AnySampler::Swrw(s) => s.try_sample_into_stats(g, n, rng, out, stats),
+            AnySampler::Uis(s) => s.try_sample_each(g, n, rng, stats, emit),
+            AnySampler::Wis(s) => s.try_sample_each(g, n, rng, stats, emit),
+            AnySampler::Rw(s) => s.try_sample_each(g, n, rng, stats, emit),
+            AnySampler::Mhrw(s) => s.try_sample_each(g, n, rng, stats, emit),
+            AnySampler::Wrw(s) => s.try_sample_each(g, n, rng, stats, emit),
+            AnySampler::Swrw(s) => s.try_sample_each(g, n, rng, stats, emit),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Weighted random walk with product-form edge weights (§3.1.2).
 
-use crate::random_walk::random_start;
+use crate::random_walk::walk_start;
 use crate::{DesignKind, NodeSampler, SampleError, WalkStats};
 use cgte_graph::{Graph, NodeId};
 use rand::Rng;
@@ -135,33 +135,28 @@ impl NodeSampler for WeightedRandomWalk {
     // WRW always moves (the all-zero-neighbor fallback still steps), so
     // the stats are derived arithmetic over the one walk loop; every
     // other entry point is a trait default over this core.
-    fn try_sample_into_stats<R: Rng + ?Sized>(
+    fn try_sample_each<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         n: usize,
         rng: &mut R,
-        out: &mut Vec<NodeId>,
         stats: &mut WalkStats,
+        mut emit: impl FnMut(NodeId),
     ) -> Result<(), SampleError> {
         let table = &*self.table;
         table.check(g);
-        out.clear();
-        out.reserve(n);
-        let mut cur = match self.start {
-            Some(v) => v,
-            None => random_start(g, rng)?,
-        };
+        let mut cur = walk_start(g, self.start, rng)?;
         for _ in 0..self.burn_in {
             cur = table.step(g, cur, rng);
         }
-        while out.len() < n {
-            out.push(cur);
+        for _ in 0..n {
+            emit(cur);
             for _ in 0..self.thinning {
                 cur = table.step(g, cur, rng);
             }
         }
         *stats = WalkStats {
-            retained: out.len(),
+            retained: n,
             steps: self.burn_in + n * self.thinning,
             burn_in: self.burn_in,
             thinning: self.thinning,

@@ -287,8 +287,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A live session behind its lock, plus its heap bytes (stream and walk
-/// draw buffer) as of its last ingest — kept outside the lock so a
+/// A live session behind its lock, plus its heap bytes (its observation
+/// stream) as of its last ingest — kept outside the lock so a
 /// `/metrics` scrape never waits on a session.
 struct SessionSlot {
     session: Mutex<Session>,
@@ -646,7 +646,7 @@ fn metrics(state: &ServerState) -> String {
     emit(
         "cgte_serve_session_heap_bytes",
         "gauge",
-        "Heap bytes of open sessions' observation streams and walk draw buffers, as of each session's last ingest: one push log each (12 B per sample), plus an induced block directory (n/16 B) and one 512 B mass block per 64-node word holding a sampled node with a neighbor in another category, plus a shared zero block, once the session samples such a node, plus 4 B per sample of the session's largest walk batch. The neighbor-category index and S-WRW walk table are shared per partition and not counted.",
+        "Heap bytes of open sessions' observation streams, as of each session's last ingest: one push log each (12 B per sample), plus an induced block directory (n/16 B) and one 512 B mass block per 64-node word holding a sampled node with a neighbor in another category, plus a shared zero block, once the session samples such a node. The neighbor-category index and S-WRW walk table are shared per partition and not counted.",
         heap_bytes.to_string(),
     );
     emit(

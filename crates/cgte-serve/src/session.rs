@@ -13,7 +13,7 @@ use cgte_graph::{Graph, NodeId, Partition};
 use cgte_sampling::{
     snapshot, AnySampler, DesignKind, InducedSample, MetropolisHastingsWalk, NeighborCategoryIndex,
     NodeSampler, ObservationContext, ObservationStream, RandomWalk, StarSample, Swrw,
-    UniformIndependence,
+    UniformIndependence, WalkStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,8 +177,6 @@ pub struct Session {
     spec: SessionSpec,
     /// Reusable snapshot buffer (`estimate_stream_into`).
     est: StreamEstimate,
-    /// Reusable walk draw buffer.
-    scratch: Vec<NodeId>,
 }
 
 impl Session {
@@ -254,7 +252,6 @@ impl Session {
             stream: ObservationStream::new(num_categories),
             spec: resolved,
             est: StreamEstimate::new(num_categories),
-            scratch: Vec::new(),
         })
     }
 
@@ -268,13 +265,13 @@ impl Session {
         self.stream.is_empty()
     }
 
-    /// Heap bytes the session holds: its observation stream and its walk
-    /// draw buffer (4 B per sample of the largest walk batch so far). The
-    /// neighbor-category index and the S-WRW walk table are shared by every
-    /// session on the partition and belong to the graph, so they are not
-    /// counted here.
+    /// Heap bytes the session holds: its observation stream. A walk ingest
+    /// pushes each node as it is drawn, so the session keeps no node
+    /// buffer. The neighbor-category index and the S-WRW walk table are
+    /// shared by every session on the partition and belong to the graph, so
+    /// they are not counted here.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stream.heap_bytes() + self.scratch.capacity() * std::mem::size_of::<NodeId>()
+        self.stream.heap_bytes()
     }
 
     /// The population size `N` estimates are scaled by.
@@ -341,55 +338,52 @@ impl Session {
     /// persistent RNG stream (multi-walk semantics, like the paper's
     /// parallel crawl campaigns); a single-batch session is therefore
     /// bit-identical to the batch runner's draw for the same seed.
-    /// Sampler-level failures (edgeless graph) and a walk past
-    /// [`MAX_WALK_BUDGET`] surface as HTTP 422.
+    ///
+    /// Each node is pushed as the walk draws it
+    /// ([`ObservationStream::ingest_walk`]), so no node buffer sits between
+    /// the walk and the stream. Sampler-level failures (edgeless graph)
+    /// come before the first node and a walk past [`MAX_WALK_BUDGET`] is
+    /// refused up front; both surface as HTTP 422 with the session state
+    /// unchanged.
     pub fn ingest_steps(&mut self, steps: usize) -> Result<usize, ServeError> {
         check_walk_budget(self.spec.burn_in, self.spec.thinning, steps)?;
-        let mut nodes = std::mem::take(&mut self.scratch);
-        let mut stats = cgte_sampling::WalkStats::default();
-        let result = self.sampler.try_sample_into_stats(
+        // Field-level borrows: the context views (graph, partition, index)
+        // are disjoint from the mutable stream and RNG.
+        let ctx = ObservationContext::with_index(
             &self.graph.graph,
-            steps,
-            &mut self.rng,
-            &mut nodes,
-            &mut stats,
+            &self.graph.partitions[self.part_idx].1,
+            &self.index,
         );
-        match result {
-            Ok(()) => {
-                crate::counters::WALK_STEPS_TOTAL
-                    .fetch_add(stats.steps as u64, std::sync::atomic::Ordering::Relaxed);
-                crate::counters::WALK_REJECTIONS_TOTAL.fetch_add(
-                    stats.rejections as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                cgte_obs::event(
-                    cgte_obs::LEVEL_DETAIL,
-                    "serve.walk",
-                    &[
-                        ("session", cgte_obs::Value::Str(&self.id)),
-                        ("retained", cgte_obs::Value::U64(stats.retained as u64)),
-                        ("steps", cgte_obs::Value::U64(stats.steps as u64)),
-                        ("rejections", cgte_obs::Value::U64(stats.rejections as u64)),
-                        ("burn_in", cgte_obs::Value::U64(stats.burn_in as u64)),
-                        ("thinning", cgte_obs::Value::U64(stats.thinning as u64)),
-                    ],
-                );
-                let ctx = ObservationContext::with_index(
-                    &self.graph.graph,
-                    &self.graph.partitions[self.part_idx].1,
-                    &self.index,
-                );
-                self.stream
-                    .ingest_sampler(&ctx, &nodes, &self.sampler, self.design);
-                let ingested = nodes.len();
-                self.scratch = nodes;
-                Ok(ingested)
-            }
-            Err(e) => {
-                self.scratch = nodes;
-                Err(ServeError::unprocessable(e.to_string()))
-            }
-        }
+        let mut stats = WalkStats::default();
+        self.stream
+            .ingest_walk(
+                &ctx,
+                &self.sampler,
+                self.design,
+                steps,
+                &mut self.rng,
+                &mut stats,
+            )
+            .map_err(|e| ServeError::unprocessable(e.to_string()))?;
+        crate::counters::WALK_STEPS_TOTAL
+            .fetch_add(stats.steps as u64, std::sync::atomic::Ordering::Relaxed);
+        crate::counters::WALK_REJECTIONS_TOTAL.fetch_add(
+            stats.rejections as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        cgte_obs::event(
+            cgte_obs::LEVEL_DETAIL,
+            "serve.walk",
+            &[
+                ("session", cgte_obs::Value::Str(&self.id)),
+                ("retained", cgte_obs::Value::U64(stats.retained as u64)),
+                ("steps", cgte_obs::Value::U64(stats.steps as u64)),
+                ("rejections", cgte_obs::Value::U64(stats.rejections as u64)),
+                ("burn_in", cgte_obs::Value::U64(stats.burn_in as u64)),
+                ("thinning", cgte_obs::Value::U64(stats.thinning as u64)),
+            ],
+        );
+        Ok(stats.retained)
     }
 
     /// The estimate document at the current prefix: category sizes by both
@@ -667,28 +661,50 @@ mod tests {
     use super::*;
     use cgte_graph::GraphBuilder;
 
-    #[test]
-    fn heap_bytes_count_the_walk_draw_buffer() {
-        let n = 1000;
-        let g = GraphBuilder::from_edges(n, (0..n as NodeId).map(|u| (u, (u + 1) % n as NodeId)))
-            .unwrap();
-        let p = Partition::blocks(n, &[n / 2; 2]).unwrap();
+    fn open_rw(g: Graph, p: Partition, design: Option<&str>) -> Session {
         let lg = Arc::new(LoadedGraph::new(
-            "ring".to_string(),
+            "g".to_string(),
             g,
             vec![("main".to_string(), p)],
         ));
         let spec = SessionSpec {
-            graph: "ring".to_string(),
+            graph: "g".to_string(),
             partition: None,
             sampler: "rw".to_string(),
-            design: None,
+            design: design.map(str::to_string),
             seed: 1,
             burn_in: 0,
             thinning: 1,
         };
-        let mut s = Session::open("s0".to_string(), lg, &spec, 1).unwrap();
-        s.ingest_steps(10_000).unwrap();
-        assert!(s.heap_bytes() >= s.stream.heap_bytes() + 10_000 * 4);
+        Session::open("s0".to_string(), lg, &spec, 1).unwrap()
+    }
+
+    /// A walk ingest pushes each node as it is drawn: the session holds
+    /// its stream and no node buffer besides.
+    #[test]
+    fn heap_bytes_are_the_stream_alone() {
+        let n = 1000;
+        let g = GraphBuilder::from_edges(n, (0..n as NodeId).map(|u| (u, (u + 1) % n as NodeId)))
+            .unwrap();
+        let p = Partition::blocks(n, &[n / 2; 2]).unwrap();
+        let mut s = open_rw(g, p, None);
+        assert_eq!(s.ingest_steps(10_000).unwrap(), 10_000);
+        assert_eq!(s.heap_bytes(), s.stream.heap_bytes());
+    }
+
+    /// An edgeless graph fails the walk before its first node: 422, and
+    /// the session's length, heap and estimate bytes stay as they were.
+    /// (Uniform design, so explicit ids of isolated nodes are accepted.)
+    #[test]
+    fn failed_walk_leaves_the_session_unchanged() {
+        let p = Partition::blocks(6, &[3, 3]).unwrap();
+        let mut s = open_rw(GraphBuilder::new(6).build(), p, Some("uniform"));
+        s.ingest_nodes(&[0, 4, 4]).unwrap();
+        let (len, heap, est) = (s.len(), s.heap_bytes(), s.estimate_json(None));
+        let err = s.ingest_steps(500).unwrap_err();
+        assert_eq!(err.status, 422);
+        assert_eq!(s.len(), len);
+        assert_eq!(s.heap_bytes(), heap);
+        assert_eq!(s.estimate_json(None), est);
     }
 }
