@@ -27,7 +27,7 @@
 //! Every subcommand rejects a flag it does not know. Parsing is
 //! deliberately dependency-free.
 
-use cgte_core::{CategoryGraphEstimator, Design, SizeMethod, StarSizeOptions};
+use cgte_core::{estimate_category_graph, SizeMethod, StarSizeOptions};
 use cgte_datasets::{
     read_categories, read_edgelist, standin, standin_partition, write_categories, write_edgelist,
     StandinKind,
@@ -35,8 +35,8 @@ use cgte_datasets::{
 use cgte_graph::generators::{planted_partition, PlantedConfig};
 use cgte_graph::{CategoryGraph, Graph, Partition};
 use cgte_sampling::{
-    AnySampler, MetropolisHastingsWalk, NodeSampler, RandomWalk, StarSample, Swrw,
-    UniformIndependence,
+    AnySampler, DesignKind, MetropolisHastingsWalk, NodeSampler, ObservationContext,
+    ObservationStream, RandomWalk, StarSample, Swrw, UniformIndependence, WalkStats,
 };
 use cgte_viz::{to_csv_edges, to_dot, to_graphml, to_json, top_edges_report, ExportOptions};
 use rand::rngs::StdRng;
@@ -935,8 +935,8 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
     let seed: u64 = args.parse_or("seed", 42)?;
     let sampler = make_sampler(args.required("sampler")?, args, &g, Some(&p))?;
     let design = match args.get("design").unwrap_or("weighted") {
-        "uniform" => Design::Uniform,
-        "weighted" => Design::Weighted,
+        "uniform" => DesignKind::Uniform,
+        "weighted" => DesignKind::Weighted,
         other => return Err(format!("unknown design {other:?}").into()),
     };
     let size_method = match args.get("sizes").unwrap_or("star") {
@@ -945,17 +945,18 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
         other => return Err(format!("unknown size method {other:?}").into()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let nodes = sampler.sample(&g, n, &mut rng);
-    let star = StarSample::observe_sampler(&g, &p, &nodes, &sampler);
-    // Uniform designs reinterpret the draw with unit weights — the same
-    // rule CategoryGraphEstimator applies internally.
-    let star = match design {
-        Design::Uniform => star.with_unit_weights(),
-        Design::Weighted => star,
-    };
-    let est = CategoryGraphEstimator::new(design)
-        .size_method(size_method)
-        .estimate_star(&star, g.num_nodes() as f64);
+    // A uniform design pushes every draw with weight 1, a weighted one
+    // with the sampler's w(v).
+    let mut stream = ObservationStream::new(p.num_categories());
+    stream.ingest_walk(
+        &ObservationContext::new(&g, &p),
+        &sampler,
+        design,
+        n,
+        &mut rng,
+        &mut WalkStats::default(),
+    )?;
+    let est = estimate_category_graph(&stream, g.num_nodes() as f64, size_method);
     eprintln!(
         "estimated category graph: {} categories, {} edges from |S| = {n}",
         est.num_categories(),
@@ -975,6 +976,10 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
             "bootstrap {:.0}% percentile CIs for category sizes ({reps} replicates):",
             level * 100.0
         );
+        // The bootstrap resamples batch records, built from the stream's
+        // log with the weights it was pushed with.
+        let (nodes, weights) = stream.log();
+        let star = StarSample::observe_with_weights(&g, &p, nodes, weights.to_vec());
         // One deterministic stream, separate from the sampling stream.
         let mut boot_rng = StdRng::seed_from_u64(seed ^ 0xB007_57AB);
         let induced = matches!(size_method, SizeMethod::Induced).then(|| star.to_induced(&g, &p));

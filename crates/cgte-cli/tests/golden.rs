@@ -108,3 +108,55 @@ fn resume_reproduces_golden_output() {
     assert_eq!(first, resumed);
     assert_eq!(first, include_str!("golden/table2_quick.txt"));
 }
+
+/// `cgte estimate` on a fixed planted graph: the exported JSON (sizes and
+/// weights at full precision) and the stderr summary with bootstrap
+/// intervals, for both size methods under both designs, are pinned byte
+/// for byte by `golden/estimate_{sizes}_{design}.{json,stderr}`.
+#[test]
+fn estimate_matches_golden_for_each_size_method_and_design() {
+    let dir = std::env::temp_dir().join(format!("cgte-golden-estimate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let files = format!("--graph {0}/g.txt --cats {0}/c.txt", dir.display());
+    // Arguments split on whitespace (the temp dir path has none).
+    let cgte = |args: String| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cgte"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("cannot run cgte");
+        assert!(
+            out.status.success(),
+            "cgte {args} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, out.stderr)
+    };
+    cgte(format!(
+        "generate planted --k 8 --alpha 0.4 --scale 20 --seed 7 {files}"
+    ));
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for sizes in ["star", "induced"] {
+        for design in ["uniform", "weighted"] {
+            let (out, err) = cgte(format!(
+                "estimate {files} --sampler rw --n 2000 --seed 7 --format json \
+                 --ci 0.9 --boot 50 --sizes {sizes} --design {design}"
+            ));
+            let want = |ext: &str| {
+                std::fs::read(golden.join(format!("estimate_{sizes}_{design}.{ext}")))
+                    .expect("golden file")
+            };
+            let case = format!("--sizes {sizes} --design {design}");
+            assert_eq!(
+                String::from_utf8_lossy(&out),
+                String::from_utf8_lossy(&want("json")),
+                "stdout of {case}"
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&err),
+                String::from_utf8_lossy(&want("stderr")),
+                "stderr of {case}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -377,7 +377,7 @@ mod tests {
         let p = Partition::from_assignments(vec![0, 1, 1, 1, 1], 2).unwrap();
         let rw = RandomWalk::new();
         let nodes = [0, 0, 0, 0, 1, 2, 3, 4];
-        let s = InducedSample::observe_sampler(&g, &p, &nodes, &rw);
+        let s = InducedSample::observe_with_weights(&g, &p, &nodes, rw.weights_for(&g, &nodes));
         // Eq. (11): w⁻¹(S_0) = 4·(1/4) = 1; w⁻¹(S) = 1 + 4 = 5; |Â| = 5·1/5 = 1.
         assert!((induced_size(&s, 0, 5.0).unwrap() - 1.0).abs() < 1e-12);
         assert!((induced_size(&s, 1, 5.0).unwrap() - 4.0).abs() < 1e-12);
@@ -509,7 +509,8 @@ mod tests {
         let n = pg.graph.num_nodes() as f64;
         let rw = RandomWalk::new().burn_in(500);
         let nodes = rw.sample(&pg.graph, 8000, &mut rng);
-        let s = InducedSample::observe_sampler(&pg.graph, &pg.partition, &nodes, &rw);
+        let weights = rw.weights_for(&pg.graph, &nodes);
+        let s = InducedSample::observe_with_weights(&pg.graph, &pg.partition, &nodes, weights);
         for (c, truth) in [(0u32, 100.0), (1, 300.0), (2, 600.0)] {
             let est = induced_size(&s, c, n).unwrap();
             assert!(

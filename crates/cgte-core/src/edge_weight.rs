@@ -420,7 +420,8 @@ mod tests {
         let truth = CategoryGraph::exact(&pg.graph, &pg.partition).weight(0, 1);
         let rw = RandomWalk::new().burn_in(300);
         let nodes = rw.sample(&pg.graph, 6000, &mut rng);
-        let s = InducedSample::observe_sampler(&pg.graph, &pg.partition, &nodes, &rw);
+        let weights = rw.weights_for(&pg.graph, &nodes);
+        let s = InducedSample::observe_with_weights(&pg.graph, &pg.partition, &nodes, weights);
         let est = induced_weight(&s, 0, 1).unwrap();
         assert!(
             (est - truth).abs() / truth < 0.3,

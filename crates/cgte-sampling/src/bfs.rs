@@ -33,7 +33,8 @@ impl BreadthFirst {
         BreadthFirst { start: None }
     }
 
-    /// Fixes the seed node.
+    /// Fixes the seed node. A draw from a seed outside the graph fails
+    /// with [`SampleError::InvalidStart`].
     pub fn start_at(mut self, v: NodeId) -> Self {
         self.start = Some(v);
         self
@@ -54,6 +55,11 @@ impl NodeSampler for BreadthFirst {
     ) -> Result<(), SampleError> {
         if g.num_nodes() == 0 {
             return Err(SampleError::EmptyGraph);
+        }
+        // An isolated seed is fine (the search reseeds); one outside the
+        // graph is not.
+        if let Some(s) = self.start.filter(|&s| s as usize >= g.num_nodes()) {
+            return Err(SampleError::InvalidStart(s));
         }
         let mut visited = vec![false; g.num_nodes()];
         let mut queue: VecDeque<NodeId> = VecDeque::new();

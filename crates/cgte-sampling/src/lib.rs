@@ -14,21 +14,31 @@
 //! Hansen–Hurwitz bias correction (§5).
 //!
 //! Independently of the sampler, a measurement records one of two
-//! **observation scenarios** (§3.2): [`InducedSample`] (categories of
-//! sampled nodes plus edges among them) or [`StarSample`] (additionally the
-//! categories of *all* neighbors of each sampled node).
+//! **observation scenarios** (§3.2): the induced subgraph (categories of
+//! sampled nodes plus edges among them) or the star (additionally the
+//! categories of *all* neighbors of each sampled node). An
+//! [`ObservationStream`] folds each sampled node into the sufficient
+//! statistics of both at once; the batch records [`InducedSample`] and
+//! [`StarSample`] remain for the bootstrap and as test oracles.
 //!
 //! ```
 //! use cgte_graph::generators::{planted_partition, PlantedConfig};
-//! use cgte_sampling::{NodeSampler, RandomWalk, StarSample};
+//! use cgte_sampling::{DesignKind, ObservationContext, ObservationStream, RandomWalk, WalkStats};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let pg = planted_partition(&PlantedConfig::scaled(500, 4, 0.5), &mut rng).unwrap();
 //! let rw = RandomWalk::new().burn_in(100);
-//! let nodes = rw.sample(&pg.graph, 200, &mut rng);
-//! let star = StarSample::observe_sampler(&pg.graph, &pg.partition, &nodes, &rw);
-//! assert_eq!(star.len(), 200);
+//! let ctx = ObservationContext::new(&pg.graph, &pg.partition);
+//! let mut stream = ObservationStream::new(pg.partition.num_categories());
+//! let mut stats = WalkStats::default();
+//! stream
+//!     .ingest_walk(&ctx, &rw, DesignKind::Weighted, 200, &mut rng, &mut stats)
+//!     .unwrap();
+//! assert_eq!(stream.len(), 200);
+//! // Under the weighted design each node carries its walk weight, deg(v).
+//! let (nodes, weights) = stream.log();
+//! assert_eq!(weights[0], pg.graph.degree(nodes[0]) as f64);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,8 @@
 //! Two consumption styles are supported:
 //!
 //! - **Materialized observations** ([`InducedSample`], [`StarSample`]):
-//!   self-contained records handed to the design-based estimators.
+//!   self-contained records that the bootstrap resamples and the
+//!   from-scratch estimators (the streamed forms' test oracles) read.
 //! - **Incremental accumulators** ([`InducedAccumulator`],
 //!   [`StarAccumulator`]): running sufficient statistics that support
 //!   `push(node)` in `O(deg)` and an `O(C²)` snapshot, so growing-prefix
@@ -14,7 +15,6 @@
 //!   prefix. Backed by an [`ObservationContext`] that caches each node's
 //!   neighbor-category histogram and cut row across replications.
 
-use crate::NodeSampler;
 use cgte_graph::{CategoryId, CategoryMatrix, Graph, NodeId, Partition};
 use std::collections::HashMap;
 
@@ -100,16 +100,6 @@ impl InducedSample {
         }
     }
 
-    /// Observes `nodes` with the weights reported by `sampler`.
-    pub fn observe_sampler<S: NodeSampler + ?Sized>(
-        g: &Graph,
-        p: &Partition,
-        nodes: &[NodeId],
-        sampler: &S,
-    ) -> Self {
-        Self::observe_with_weights(g, p, nodes, sampler.weights_for(g, nodes))
-    }
-
     /// Number of samples `n = |S|` (with multiplicity).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -148,15 +138,6 @@ impl InducedSample {
     /// Observed edges as sample-index pairs `(i, j)`, `i < j`.
     pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
-    }
-
-    /// A copy of this observation with all design weights reset to 1,
-    /// i.e. reinterpreted as a uniform sample (used by
-    /// `Design::Uniform` in `cgte-core`).
-    pub fn with_unit_weights(&self) -> InducedSample {
-        let mut s = self.clone();
-        s.weights = vec![1.0; s.nodes.len()];
-        s
     }
 
     /// Re-observes a bootstrap replicate: `indices` select samples (with
@@ -255,16 +236,6 @@ impl StarSample {
         }
     }
 
-    /// Observes `nodes` with the weights reported by `sampler`.
-    pub fn observe_sampler<S: NodeSampler + ?Sized>(
-        g: &Graph,
-        p: &Partition,
-        nodes: &[NodeId],
-        sampler: &S,
-    ) -> Self {
-        Self::observe_with_weights(g, p, nodes, sampler.weights_for(g, nodes))
-    }
-
     /// Number of samples `n = |S|` (with multiplicity).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -313,14 +284,6 @@ impl StarSample {
             .binary_search_by_key(&c, |&(cat, _)| cat)
             .map(|pos| self.neighbor_cats[i][pos].1)
             .unwrap_or(0)
-    }
-
-    /// A copy of this observation with all design weights reset to 1
-    /// (uniform reinterpretation; see `Design::Uniform` in `cgte-core`).
-    pub fn with_unit_weights(&self) -> StarSample {
-        let mut s = self.clone();
-        s.weights = vec![1.0; s.nodes.len()];
-        s
     }
 
     /// Bootstrap replicate: select samples by index (repetition allowed).
@@ -1245,15 +1208,6 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.nodes(), &[4, 4]);
         assert_eq!(sub.neighbors_in(0, 1), 2);
-    }
-
-    #[test]
-    fn observe_sampler_attaches_design_weights() {
-        use crate::RandomWalk;
-        let (g, p) = fixture();
-        let rw = RandomWalk::new();
-        let s = StarSample::observe_sampler(&g, &p, &[2, 0], &rw);
-        assert_eq!(s.weights(), &[3.0, 2.0]); // degrees
     }
 
     #[test]

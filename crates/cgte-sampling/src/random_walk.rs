@@ -10,7 +10,9 @@ use rand::Rng;
 /// Unusable graphs — no nodes, or no edges so no walk could move — surface
 /// as a typed [`SampleError`] rather than a panic, so services can reject
 /// the request instead of losing a worker thread. The check comes first
-/// even for a fixed start, so a walk fails before it emits any node.
+/// even for a fixed start, so a walk fails before it emits any node. A
+/// fixed start outside the graph or without edges is
+/// [`SampleError::InvalidStart`], for the same reason.
 ///
 /// Rejection sampling is bounded: on graphs dominated by isolated nodes
 /// (where naive rejection could loop for an arbitrarily long time), the
@@ -29,7 +31,11 @@ pub(crate) fn walk_start<R: Rng + ?Sized>(
         return Err(SampleError::EdgelessGraph);
     }
     if let Some(v) = start {
-        return Ok(v);
+        return if (v as usize) < g.num_nodes() && g.degree(v) > 0 {
+            Ok(v)
+        } else {
+            Err(SampleError::InvalidStart(v))
+        };
     }
     const MAX_REJECTIONS: usize = 64;
     for _ in 0..MAX_REJECTIONS {
@@ -93,7 +99,9 @@ impl RandomWalk {
         self
     }
 
-    /// Fixes the starting node instead of drawing one at random.
+    /// Fixes the starting node instead of drawing one at random. A draw
+    /// from a node outside the graph or without edges fails with
+    /// [`SampleError::InvalidStart`].
     pub fn start_at(mut self, v: NodeId) -> Self {
         self.start = Some(v);
         self

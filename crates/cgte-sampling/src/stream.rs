@@ -10,10 +10,10 @@
 //! (`cgte-serve`) both sit on this kernel, so their numbers are
 //! bit-identical by construction.
 //!
-//! Estimates themselves live one crate up (`cgte_core::stream_estimate`,
-//! which consumes the accumulators exposed here): the kernel produces
-//! design-based sufficient statistics, the estimator crate turns them into
-//! Eq. (4)/(5)/(8)/(9) values.
+//! Estimates themselves live one crate up (`cgte_core::estimate_stream_into`
+//! and `cgte_core::estimate_category_graph`, which consume the accumulators
+//! exposed here): the kernel produces design-based sufficient statistics,
+//! the estimator crate turns them into Eq. (4)/(5)/(8)/(9) values.
 //!
 //! ```
 //! use cgte_graph::GraphBuilder;
@@ -329,6 +329,19 @@ mod tests {
             a.merge(&ctx, &b);
             assert_eq!(a, whole, "split at {split}");
         }
+    }
+
+    #[test]
+    fn ingest_sampler_logs_design_weights() {
+        let (g, p) = fixture();
+        let ctx = ObservationContext::new(&g, &p);
+        let rw = RandomWalk::new();
+        let mut weighted = ObservationStream::new(2);
+        weighted.ingest_sampler(&ctx, &[2, 0], &rw, DesignKind::Weighted);
+        assert_eq!(weighted.log().1, &[3.0, 2.0]); // degrees
+        let mut uniform = ObservationStream::new(2);
+        uniform.ingest_sampler(&ctx, &[2, 0], &rw, DesignKind::Uniform);
+        assert_eq!(uniform.log().1, &[1.0, 1.0]);
     }
 
     #[test]

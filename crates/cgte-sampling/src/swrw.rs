@@ -109,7 +109,8 @@ impl Swrw {
         self
     }
 
-    /// Fixes the starting node.
+    /// Fixes the starting node. A draw from a node outside the graph or
+    /// without edges fails with [`SampleError::InvalidStart`].
     pub fn start_at(mut self, v: NodeId) -> Self {
         self.inner = self.inner.start_at(v);
         self

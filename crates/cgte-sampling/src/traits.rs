@@ -19,6 +19,10 @@ pub enum SampleError {
     /// The graph has no edges: a crawl has no eligible (non-isolated)
     /// start node and could never move.
     EdgelessGraph,
+    /// A fixed start node that no draw can begin at: not a node of the
+    /// graph, or (for a walk) a node without edges, where the walk could
+    /// never move.
+    InvalidStart(NodeId),
 }
 
 impl std::fmt::Display for SampleError {
@@ -26,6 +30,10 @@ impl std::fmt::Display for SampleError {
         match self {
             SampleError::EmptyGraph => write!(f, "cannot sample from an empty graph"),
             SampleError::EdgelessGraph => write!(f, "cannot walk on an edgeless graph"),
+            SampleError::InvalidStart(v) => write!(
+                f,
+                "cannot start at node {v}: not in the graph, or isolated for a walk"
+            ),
         }
     }
 }

@@ -119,7 +119,8 @@ impl WeightedRandomWalk {
         self
     }
 
-    /// Fixes the starting node.
+    /// Fixes the starting node. A draw from a node outside the graph or
+    /// without edges fails with [`SampleError::InvalidStart`].
     pub fn start_at(mut self, v: NodeId) -> Self {
         self.start = Some(v);
         self

@@ -7,8 +7,9 @@
 use cgte_graph::generators::{planted_partition, PlantedConfig};
 use cgte_graph::{Graph, GraphBuilder, NodeId, Partition};
 use cgte_sampling::{
-    AnySampler, BreadthFirst, MetropolisHastingsWalk, NodeSampler, RandomWalk, SampleError, Swrw,
-    UniformIndependence, WalkStats, WeightedIndependence, WeightedRandomWalk,
+    AnySampler, BreadthFirst, DesignKind, MetropolisHastingsWalk, NodeSampler, ObservationContext,
+    ObservationStream, RandomWalk, SampleError, Swrw, UniformIndependence, WalkStats,
+    WeightedIndependence, WeightedRandomWalk,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,6 +180,54 @@ fn unusable_graphs_fail_before_the_first_emit() {
             assert_eq!(each(&rw, graph, 5, 1), buffered(&rw, graph, 5, 1));
         }
     }
+}
+
+/// A fixed start that no draw can begin at fails before the first emit:
+/// a node outside the graph for every start-taking sampler, and an
+/// isolated node for every walk. A stream fed such a draw stays exactly as
+/// it was. BFS may start at an isolated node (it reseeds from there).
+#[test]
+fn invalid_starts_fail_before_the_first_emit() {
+    // Four nodes, one edge 0–1: nodes 2 and 3 are isolated.
+    let g = GraphBuilder::from_edges(4, [(0, 1)]).unwrap();
+    let p = Partition::trivial(4);
+    let ctx = ObservationContext::new(&g, &p);
+    let wrw = WeightedRandomWalk::new(&g, vec![1.0; 4]).unwrap();
+    let swrw = Swrw::equal_category_target(&g, &p).unwrap();
+    for v in [3, 99] {
+        let walks = [
+            AnySampler::Rw(RandomWalk::new().start_at(v)),
+            AnySampler::Mhrw(MetropolisHastingsWalk::new().burn_in(2).start_at(v)),
+            AnySampler::Wrw(wrw.clone().start_at(v)),
+            AnySampler::Swrw(swrw.clone().thinning(2).start_at(v)),
+        ];
+        for s in &walks {
+            let name = format!("{} start {v}", s.name());
+            let e = each(s, &g, 5, 1);
+            assert_eq!(e.0, Err(SampleError::InvalidStart(v)), "{name}");
+            assert!(e.1.is_empty(), "{name} emitted {:?}", e.1);
+            assert_eq!(e, buffered(s, &g, 5, 1), "{name}");
+            let mut stream = ObservationStream::new(1);
+            stream.ingest_uniform(&ctx, &[0, 1]);
+            let before = stream.clone();
+            let r = stream.ingest_walk(
+                &ctx,
+                s,
+                DesignKind::Weighted,
+                5,
+                &mut StdRng::seed_from_u64(1),
+                &mut WalkStats::default(),
+            );
+            assert_eq!(r, Err(SampleError::InvalidStart(v)), "{name}");
+            assert_eq!(stream, before, "{name}");
+        }
+    }
+    let e = each(&BreadthFirst::new().start_at(99), &g, 5, 1);
+    assert_eq!(e.0, Err(SampleError::InvalidStart(99)));
+    assert!(e.1.is_empty(), "bfs emitted {:?}", e.1);
+    let (r, nodes, _, _) = each(&BreadthFirst::new().start_at(3), &g, 2, 1);
+    r.unwrap();
+    assert_eq!(nodes[0], 3);
 }
 
 /// On an even cycle every walk moves each step (MHRW never rejects: all

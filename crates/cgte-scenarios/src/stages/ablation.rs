@@ -1,15 +1,17 @@
-//! A1 (paper footnote 4): the model-based star size estimator, ported
-//! from the `ablation_model_based` binary. One stage invocation evaluates
-//! one sampler on the shared Epinions stand-in and renders its complete
-//! table.
+//! A1 (paper footnote 4): the model-based star size estimator. One stage
+//! invocation evaluates one sampler on the shared Epinions stand-in and
+//! renders its complete table.
 
 use super::StageCtx;
 use crate::report::{fmt_nrmse, log_sizes};
 use crate::runner::{JobOutput, ReportSection};
 use crate::{EngineError, Scale};
-use cgte_core::category_size::{induced_sizes, star_sizes, StarSizeOptions};
+use cgte_core::category_size::{star_sizes_acc, StarSizeOptions};
+use cgte_core::{estimate_stream_into, StreamEstimate};
 use cgte_eval::{median, Table};
-use cgte_sampling::{AnySampler, NodeSampler, RandomWalk, StarSample, UniformIndependence};
+use cgte_sampling::{
+    AnySampler, NodeSampler, ObservationContext, ObservationStream, RandomWalk, UniformIndependence,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,29 +46,33 @@ pub fn model_based(ctx: &StageCtx<'_>) -> Result<JobOutput, EngineError> {
             .map(String::from)
             .to_vec(),
     );
+    let obs = ObservationContext::new(g, p);
+    let mut stream = ObservationStream::new(num_c);
+    let mut snap = StreamEstimate::new(num_c);
+    let model_opts = StarSizeOptions {
+        model_based_mean_degree: true,
+    };
     // sum of squared errors [estimator][size][category]
     let mut errs = vec![vec![vec![0.0f64; num_c]; sizes.len()]; 3];
     for rep in 0..reps {
         let mut rng = StdRng::seed_from_u64(ctx.seed + 1000 + rep as u64);
         let nodes = sampler.sample(g, *sizes.last().unwrap(), &mut rng);
+        // One stream per replicate, grown to each (ascending) size.
+        stream.reset();
         for (si, &s) in sizes.iter().enumerate() {
-            let star = if label == "UIS" {
-                StarSample::observe(g, p, &nodes[..s])
-            } else {
-                StarSample::observe_sampler(g, p, &nodes[..s], &sampler)
-            };
-            let ind = induced_sizes(&star, population).unwrap_or_else(|| vec![0.0; num_c]);
-            let plug = star_sizes(&star, population, &StarSizeOptions::default());
-            let model = star_sizes(
-                &star,
+            stream.ingest_sampler(&obs, &nodes[stream.len()..s], &sampler, sampler.design());
+            estimate_stream_into(
+                stream.star(),
+                stream.induced(),
                 population,
-                &StarSizeOptions {
-                    model_based_mean_degree: true,
-                },
+                &StarSizeOptions::default(),
+                false,
+                &mut snap,
             );
+            let model = star_sizes_acc(stream.star(), population, &model_opts);
             for c in 0..num_c {
-                errs[0][si][c] += (ind[c] - truth[c]).powi(2);
-                errs[1][si][c] += (plug[c].unwrap_or(0.0) - truth[c]).powi(2);
+                errs[0][si][c] += (snap.sizes_induced[c] - truth[c]).powi(2);
+                errs[1][si][c] += (snap.sizes_star[c].unwrap_or(0.0) - truth[c]).powi(2);
                 errs[2][si][c] += (model[c].unwrap_or(0.0) - truth[c]).powi(2);
             }
         }

@@ -1,21 +1,21 @@
 //! Stages over the Facebook-like crawl simulation (fig5–fig7, table2, and
-//! the S-WRW stratification ablation). The evaluation bodies are ported
-//! verbatim from the original figure binaries so that the refactored shims
-//! print byte-identical tables; what changed is the input path — every
-//! stage reads the simulation/crawl bundle from the shared cache instead
-//! of regenerating it.
+//! the S-WRW stratification ablation). Every stage reads the
+//! simulation/crawl bundle from the shared cache, folds the crawled nodes
+//! into an [`ObservationStream`] (weighted or not by the crawl's design),
+//! and reads its estimates from the stream.
 
 use super::StageCtx;
 use crate::report::log_sizes;
 use crate::runner::{JobOutput, NamedSeries, ReportSection};
 use crate::{EngineError, Scale};
-use cgte_core::category_size::{star_sizes, StarSizeOptions};
-use cgte_core::edge_weight::{induced_weights_all, star_weights_all};
-use cgte_core::{CategoryGraphEstimator, Design, SizeMethod};
+use cgte_core::category_size::{star_sizes_acc, StarSizeOptions};
+use cgte_core::{estimate_category_graph, estimate_stream_into, SizeMethod, StreamEstimate};
 use cgte_datasets::{CrawlDataset, CrawlType, FacebookSim};
 use cgte_eval::{median, Table};
 use cgte_graph::{CategoryGraph, CategoryId, CategoryMatrix, Partition};
-use cgte_sampling::{NodeSampler, StarSample, Swrw};
+use cgte_sampling::{
+    DesignKind, NodeSampler, ObservationContext, ObservationStream, Swrw, WalkStats,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -117,13 +117,13 @@ fn evaluate_crawl(
     pairs: &[Pair],
     sizes: &[usize],
 ) -> CrawlEstimates {
-    use cgte_core::category_size::induced_sizes;
     let g = &sim.graph;
+    let ctx = ObservationContext::new(g, p);
     let population = g.num_nodes() as f64;
-    let num_c = p.num_categories();
-    let uniform = matches!(ds.crawl, CrawlType::Uis | CrawlType::Mhrw);
     let sampler = sim.sampler_for(ds.crawl);
     let opts = StarSizeOptions::default();
+    let mut stream = ObservationStream::new(p.num_categories());
+    let mut snap = StreamEstimate::new(p.num_categories());
     let mut out = CrawlEstimates {
         sizes_ind: vec![Vec::new(); sizes.len()],
         sizes_star: vec![Vec::new(); sizes.len()],
@@ -131,26 +131,23 @@ fn evaluate_crawl(
         weights_star: vec![Vec::new(); sizes.len()],
     };
     for walk in ds.walks.walks() {
+        // One stream per walk, grown to each (ascending) prefix size.
+        stream.reset();
         for (si, &s) in sizes.iter().enumerate() {
-            let prefix = &walk[..s.min(walk.len())];
-            let star = if uniform {
-                StarSample::observe(g, p, prefix)
-            } else {
-                StarSample::observe_sampler(g, p, prefix, &sampler)
-            };
-            let ind = star.to_induced(g, p);
-            let s_ind = induced_sizes(&ind, population).unwrap_or_else(|| vec![0.0; num_c]);
-            let s_star_opt = star_sizes(&star, population, &opts);
-            let plug: Vec<f64> = s_star_opt
-                .iter()
-                .zip(&s_ind)
-                .map(|(st, &i)| st.unwrap_or(i))
-                .collect();
-            let s_star: Vec<f64> = s_star_opt.into_iter().map(|x| x.unwrap_or(0.0)).collect();
-            let w_ind = induced_weights_all(&ind);
-            let w_star = star_weights_all(&star, &plug);
-            out.sizes_ind[si].push(s_ind);
+            let end = s.min(walk.len());
+            stream.ingest_sampler(&ctx, &walk[stream.len()..end], &sampler, sampler.design());
+            estimate_stream_into(
+                stream.star(),
+                stream.induced(),
+                population,
+                &opts,
+                true,
+                &mut snap,
+            );
+            let s_star = snap.sizes_star.iter().map(|x| x.unwrap_or(0.0)).collect();
+            out.sizes_ind[si].push(snap.sizes_induced.clone());
             out.sizes_star[si].push(s_star);
+            let (w_ind, w_star) = (&snap.weights_induced, &snap.weights_star);
             out.weights_ind[si].push(pairs.iter().map(|&(a, b)| w_ind.get(a, b)).collect());
             out.weights_star[si].push(pairs.iter().map(|&(a, b)| w_star.get(a, b)).collect());
         }
@@ -323,20 +320,15 @@ fn estimate_from_crawl(
     p: &Partition,
     size_method: SizeMethod,
 ) -> CategoryGraph {
-    let nodes = ds.walks.combined();
-    let uniform = matches!(ds.crawl, CrawlType::Uis | CrawlType::Mhrw);
-    let star = if uniform {
-        StarSample::observe(&sim.graph, p, &nodes)
-    } else {
-        StarSample::observe_sampler(&sim.graph, p, &nodes, &sim.sampler_for(ds.crawl))
-    };
-    CategoryGraphEstimator::new(if uniform {
-        Design::Uniform
-    } else {
-        Design::Weighted
-    })
-    .size_method(size_method)
-    .estimate_star(&star, sim.graph.num_nodes() as f64)
+    let sampler = sim.sampler_for(ds.crawl);
+    let mut stream = ObservationStream::new(p.num_categories());
+    stream.ingest_sampler(
+        &ObservationContext::new(&sim.graph, p),
+        &ds.walks.combined(),
+        &sampler,
+        sampler.design(),
+    );
+    estimate_category_graph(&stream, sim.graph.num_nodes() as f64, size_method)
 }
 
 /// Renders one fig7 export exactly like the legacy `export()` helper: the
@@ -574,14 +566,25 @@ pub fn ablation_swrw(ctx: &StageCtx<'_>) -> Result<JobOutput, EngineError> {
     let swrw = Swrw::stratified(&sim.graph, p, beta)
         .ok_or_else(|| EngineError::msg("invalid S-WRW weights"))?
         .burn_in(1000);
+    let obs = ObservationContext::new(&sim.graph, p);
+    let mut stream = ObservationStream::new(p.num_categories());
     let mut col = Vec::new();
     for &s in &sample_sizes {
         let mut errs = vec![0.0f64; p.num_categories()];
         for rep in 0..reps {
             let mut rng = StdRng::seed_from_u64(ctx.seed + 31 + rep as u64);
-            let nodes = swrw.sample(&sim.graph, s, &mut rng);
-            let star = StarSample::observe_sampler(&sim.graph, p, &nodes, &swrw);
-            let est = star_sizes(&star, population, &StarSizeOptions::default());
+            stream.reset();
+            stream
+                .ingest_walk(
+                    &obs,
+                    &swrw,
+                    DesignKind::Weighted,
+                    s,
+                    &mut rng,
+                    &mut WalkStats::default(),
+                )
+                .map_err(|e| EngineError::msg(e.to_string()))?;
+            let est = star_sizes_acc(stream.star(), population, &StarSizeOptions::default());
             for &c in &colleges {
                 errs[c] += (est[c].unwrap_or(0.0) - truth[c]).powi(2);
             }

@@ -12,8 +12,10 @@
 //! the paper found best for the 2010 data.
 
 use cgte::datasets::{FacebookSim, FacebookSimConfig};
-use cgte::estimators::{CategoryGraphEstimator, Design, SizeMethod, StarSizeOptions};
-use cgte::sampling::{NodeSampler, RandomWalk, StarSample, Swrw};
+use cgte::estimators::{estimate_category_graph, SizeMethod, StarSizeOptions};
+use cgte::sampling::{
+    DesignKind, NodeSampler, ObservationContext, ObservationStream, RandomWalk, Swrw,
+};
 use cgte::viz::{top_edges_report, ExportOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,10 +64,15 @@ fn main() {
     );
 
     // Estimate the college graph from the S-WRW sample with star sizes.
-    let star = StarSample::observe_sampler(&sim.graph, colleges, &sw_nodes, &swrw);
-    let est = CategoryGraphEstimator::new(Design::Weighted)
-        .size_method(SizeMethod::Star(StarSizeOptions::default()))
-        .estimate_star(&star, population);
+    let mut stream = ObservationStream::new(colleges.num_categories());
+    stream.ingest_sampler(
+        &ObservationContext::new(&sim.graph, colleges),
+        &sw_nodes,
+        &swrw,
+        DesignKind::Weighted,
+    );
+    let sizes = SizeMethod::Star(StarSizeOptions::default());
+    let est = estimate_category_graph(&stream, population, sizes);
 
     let mut labels: Vec<String> = (0..n_colleges).map(|c| format!("college-{c:02}")).collect();
     labels.push("no-college".into());

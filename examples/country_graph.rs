@@ -11,8 +11,10 @@
 //! the per-crawl estimates. Prints the strongest links and a DOT rendering.
 
 use cgte::datasets::{FacebookSim, FacebookSimConfig};
-use cgte::estimators::{CategoryGraphEstimator, Design, SizeMethod};
-use cgte::sampling::{NodeSampler, RandomWalk, StarSample, UniformIndependence};
+use cgte::estimators::{estimate_category_graph, SizeMethod};
+use cgte::sampling::{
+    DesignKind, NodeSampler, ObservationContext, ObservationStream, RandomWalk, UniformIndependence,
+};
 use cgte::viz::{to_dot, top_edges_report, ExportOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,19 +37,18 @@ fn main() {
     let population = sim.graph.num_nodes() as f64;
 
     // Two independent crawls, as the paper combines multiple techniques.
+    let ctx = ObservationContext::new(&sim.graph, &countries);
     let uis_nodes = UniformIndependence.sample(&sim.graph, 4000, &mut rng);
-    let uis_star = StarSample::observe(&sim.graph, &countries, &uis_nodes);
+    let mut uis = ObservationStream::new(countries.num_categories());
+    uis.ingest_uniform(&ctx, &uis_nodes);
     let rw = RandomWalk::new().burn_in(500);
     let rw_nodes = rw.sample(&sim.graph, 4000, &mut rng);
-    let rw_star = StarSample::observe_sampler(&sim.graph, &countries, &rw_nodes, &rw);
+    let mut walk = ObservationStream::new(countries.num_categories());
+    walk.ingest_sampler(&ctx, &rw_nodes, &rw, DesignKind::Weighted);
 
     // §7.3.1: induced sizes (UIS counting did best), star edge weights.
-    let est_uis = CategoryGraphEstimator::new(Design::Uniform)
-        .size_method(SizeMethod::Induced)
-        .estimate_star(&uis_star, population);
-    let est_rw = CategoryGraphEstimator::new(Design::Weighted)
-        .size_method(SizeMethod::Induced)
-        .estimate_star(&rw_star, population);
+    let est_uis = estimate_category_graph(&uis, population, SizeMethod::Induced);
+    let est_rw = estimate_category_graph(&walk, population, SizeMethod::Induced);
 
     // Average the two estimates edge-wise.
     let num_c = countries.num_categories();

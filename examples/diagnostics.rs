@@ -11,12 +11,39 @@
 //!    "estimates" stay biased no matter how large the sample, while the
 //!    corrected RW estimates converge (§8's warning, demonstrated).
 
-use cgte::estimators::category_size::induced_size;
+use cgte::estimators::category_size::induced_sizes_acc;
 use cgte::graph::generators::{planted_partition, PlantedConfig};
+use cgte::graph::{Graph, NodeId, Partition};
 use cgte::sampling::convergence::{autocorrelation, decorrelation_lag, degree_trace, geweke_z};
-use cgte::sampling::{BreadthFirst, InducedSample, NodeSampler, RandomWalk};
+use cgte::sampling::{
+    BreadthFirst, NodeSampler, ObservationContext, ObservationStream, RandomWalk,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `nodes` drawn by `sampler`, folded into a stream under its design: BFS
+/// samples with unit weights (no correction exists), walk samples with
+/// their weight `deg(v)`.
+fn stream_of<S: NodeSampler>(
+    g: &Graph,
+    p: &Partition,
+    nodes: &[NodeId],
+    sampler: &S,
+) -> ObservationStream {
+    let mut stream = ObservationStream::new(p.num_categories());
+    stream.ingest_sampler(
+        &ObservationContext::new(g, p),
+        nodes,
+        sampler,
+        sampler.design(),
+    );
+    stream
+}
+
+/// The Hansen–Hurwitz mean degree `k̂_V` of a stream, Eq. (6)/(14).
+fn mean_degree(s: &ObservationStream) -> f64 {
+    s.star().degree_mass() / s.star().inverse_mass()
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(58);
@@ -59,8 +86,6 @@ fn main() {
     // deg(v)-proportional, so the Eq. (14) correction removes it. BFS has
     // no such correction.
     use cgte::datasets::{standin, StandinKind};
-    use cgte::estimators::category_size::mean_degree;
-    use cgte::graph::Partition;
     let skewed = standin(StandinKind::Epinions, 60, &mut rng);
     let trivial = Partition::trivial(skewed.num_nodes());
     println!(
@@ -73,13 +98,14 @@ fn main() {
         let mut rw_est = 0.0;
         let reps = 30;
         for _ in 0..reps {
-            let bfs_nodes = BreadthFirst::new().sample(&skewed, s, &mut rng);
-            let bfs_sample = InducedSample::observe(&skewed, &trivial, &bfs_nodes);
-            bfs_est += mean_degree(&bfs_sample).unwrap() / reps as f64;
+            let bfs = BreadthFirst::new();
+            let bfs_nodes = bfs.sample(&skewed, s, &mut rng);
+            let bfs_sample = stream_of(&skewed, &trivial, &bfs_nodes, &bfs);
+            bfs_est += mean_degree(&bfs_sample) / reps as f64;
             let rw = RandomWalk::new().burn_in(300);
             let rw_nodes = rw.sample(&skewed, s, &mut rng);
-            let rw_sample = InducedSample::observe_sampler(&skewed, &trivial, &rw_nodes, &rw);
-            rw_est += mean_degree(&rw_sample).unwrap() / reps as f64;
+            let rw_sample = stream_of(&skewed, &trivial, &rw_nodes, &rw);
+            rw_est += mean_degree(&rw_sample) / reps as f64;
         }
         println!("{s:>8} {bfs_est:>12.2} {rw_est:>14.2}");
     }
@@ -90,14 +116,16 @@ fn main() {
     let mut bfs_sq = 0.0;
     let mut rw_sq = 0.0;
     let truth = 150.0;
+    let size_0 = |s: &ObservationStream| induced_sizes_acc(s.induced(), n as f64).unwrap()[0];
     for _ in 0..reps {
-        let bfs_nodes = BreadthFirst::new().sample(&pg.graph, 300, &mut rng);
-        let b = InducedSample::observe(&pg.graph, &pg.partition, &bfs_nodes);
-        bfs_sq += (induced_size(&b, 0, n as f64).unwrap() - truth).powi(2) / reps as f64;
+        let bfs = BreadthFirst::new();
+        let bfs_nodes = bfs.sample(&pg.graph, 300, &mut rng);
+        let b = stream_of(&pg.graph, &pg.partition, &bfs_nodes, &bfs);
+        bfs_sq += (size_0(&b) - truth).powi(2) / reps as f64;
         let rw = RandomWalk::new().burn_in(300);
         let rw_nodes = rw.sample(&pg.graph, 300, &mut rng);
-        let r = InducedSample::observe_sampler(&pg.graph, &pg.partition, &rw_nodes, &rw);
-        rw_sq += (induced_size(&r, 0, n as f64).unwrap() - truth).powi(2) / reps as f64;
+        let r = stream_of(&pg.graph, &pg.partition, &rw_nodes, &rw);
+        rw_sq += (size_0(&r) - truth).powi(2) / reps as f64;
     }
     println!(
         "\ncategory-0 size at |S|=300: NRMSE(BFS) = {:.3} vs NRMSE(RW corrected) = {:.3}",

@@ -9,10 +9,10 @@
 //! edge weight from the crawl — then compares against the exact values,
 //! which are computable here because the graph is fully known.
 
-use cgte::estimators::{CategoryGraphEstimator, Design};
+use cgte::estimators::{estimate_category_graph, SizeMethod, StarSizeOptions};
 use cgte::graph::generators::{planted_partition, PlantedConfig};
 use cgte::graph::CategoryGraph;
-use cgte::sampling::{NodeSampler, RandomWalk, StarSample};
+use cgte::sampling::{DesignKind, ObservationContext, ObservationStream, RandomWalk, WalkStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,15 +38,25 @@ fn main() {
 
     // 2. Crawl it: a simple random walk visits ~5% of the graph. The walk
     //    oversamples high-degree nodes; its stationary weight is deg(v).
+    // 3. Observe each sampled node as the walk draws it: the crawler sees
+    //    its category, degree, and its neighbors' categories (the star
+    //    scenario), pushed with its walk weight (the weighted design).
     let rw = RandomWalk::new().burn_in(500);
-    let nodes = rw.sample(&pg.graph, n / 10, &mut rng);
-
-    // 3. Observe the sample in the star scenario: the crawler sees each
-    //    sampled node's category, degree, and its neighbors' categories.
-    let star = StarSample::observe_sampler(&pg.graph, &pg.partition, &nodes, &rw);
+    let mut stream = ObservationStream::new(pg.partition.num_categories());
+    stream
+        .ingest_walk(
+            &ObservationContext::new(&pg.graph, &pg.partition),
+            &rw,
+            DesignKind::Weighted,
+            n / 10,
+            &mut rng,
+            &mut WalkStats::default(),
+        )
+        .expect("the graph has edges");
 
     // 4. Estimate the full category graph, correcting for the walk's bias.
-    let est = CategoryGraphEstimator::new(Design::Weighted).estimate_star(&star, n as f64);
+    let sizes = SizeMethod::Star(StarSizeOptions::default());
+    let est = estimate_category_graph(&stream, n as f64, sizes);
 
     // 5. Compare to the exact category graph.
     let exact = CategoryGraph::exact(&pg.graph, &pg.partition);
@@ -81,7 +91,7 @@ fn main() {
     }
     println!(
         "\nSample was {} nodes ({}% of the graph).",
-        nodes.len(),
-        100 * nodes.len() / n
+        stream.len(),
+        100 * stream.len() / n
     );
 }

@@ -14,7 +14,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`graph`] | CSR graphs, partitions, exact category graphs, generators, communities, clustering |
-//! | [`sampling`] | UIS/WIS/RW/MHRW/S-WRW samplers (+ BFS baseline), induced & star observation, convergence diagnostics |
+//! | [`sampling`] | UIS/WIS/RW/MHRW/S-WRW samplers (+ BFS baseline), the observation stream (induced & star), convergence diagnostics |
 //! | [`estimators`] | the paper's estimators (Eq. 4–16), population size, bootstrap |
 //! | [`eval`] | NRMSE harness, experiment sweeps |
 //! | [`datasets`] | edge-list IO, empirical stand-ins, Facebook-like simulator |
@@ -25,21 +25,26 @@
 //!
 //! ```
 //! use cgte::graph::generators::{planted_partition, PlantedConfig};
-//! use cgte::sampling::{UniformIndependence, NodeSampler, StarSample};
-//! use cgte::estimators::{CategoryGraphEstimator, Design};
+//! use cgte::sampling::{DesignKind, ObservationContext, ObservationStream, UniformIndependence, WalkStats};
+//! use cgte::estimators::{estimate_category_graph, SizeMethod, StarSizeOptions};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
 //! // A small planted-partition graph with known category structure.
 //! let pg = planted_partition(&PlantedConfig::scaled(200, 5, 0.5), &mut rng).unwrap();
 //!
-//! // Sample 500 nodes uniformly, observing neighbor categories (star design).
-//! let nodes = UniformIndependence.sample(&pg.graph, 500, &mut rng);
-//! let star = StarSample::observe(&pg.graph, &pg.partition, &nodes);
+//! // Sample 500 nodes uniformly and fold each one into the stream as it
+//! // is drawn, recording its neighbors' categories (star design).
+//! let ctx = ObservationContext::new(&pg.graph, &pg.partition);
+//! let mut stream = ObservationStream::new(pg.partition.num_categories());
+//! stream
+//!     .ingest_walk(&ctx, &UniformIndependence, DesignKind::Uniform, 500, &mut rng,
+//!                  &mut WalkStats::default())
+//!     .unwrap();
 //!
 //! // Estimate the whole category graph.
-//! let est = CategoryGraphEstimator::new(Design::Uniform)
-//!     .estimate_star(&star, pg.graph.num_nodes() as f64);
+//! let sizes = SizeMethod::Star(StarSizeOptions::default());
+//! let est = estimate_category_graph(&stream, pg.graph.num_nodes() as f64, sizes);
 //! assert_eq!(est.num_categories(), pg.partition.num_categories());
 //! ```
 

@@ -2,14 +2,30 @@
 //! read → sample → observe → estimate → export.
 
 use cgte::datasets::{read_categories, read_edgelist, write_categories, write_edgelist};
-use cgte::estimators::{CategoryGraphEstimator, Design, SizeMethod, StarSizeOptions};
+use cgte::estimators::{estimate_category_graph, SizeMethod, StarSizeOptions};
 use cgte::graph::generators::{planted_partition, PlantedConfig};
-use cgte::graph::CategoryGraph;
-use cgte::sampling::{NodeSampler, RandomWalk, StarSample, UniformIndependence};
+use cgte::graph::{CategoryGraph, Graph, NodeId, Partition};
+use cgte::sampling::{
+    DesignKind, NodeSampler, ObservationContext, ObservationStream, RandomWalk,
+    UniformIndependence, WalkStats,
+};
 use cgte::viz::{to_dot, to_graphml, to_json, ExportOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Cursor;
+
+/// `nodes` drawn by `sampler`, folded into a stream under `design`.
+fn stream_of<S: NodeSampler>(
+    g: &Graph,
+    p: &Partition,
+    nodes: &[NodeId],
+    sampler: &S,
+    design: DesignKind,
+) -> ObservationStream {
+    let mut stream = ObservationStream::new(p.num_categories());
+    stream.ingest_sampler(&ObservationContext::new(g, p), nodes, sampler, design);
+    stream
+}
 
 #[test]
 fn full_pipeline_round_trip() {
@@ -31,13 +47,24 @@ fn full_pipeline_round_trip() {
     assert_eq!(g, pg.graph);
     assert_eq!(p, pg.partition);
 
-    // Crawl and estimate.
+    // Crawl and estimate: the walk pushes each node as it draws it.
     let rw = RandomWalk::new().burn_in(300);
-    let nodes = rw.sample(&g, 3000, &mut rng);
-    let star = StarSample::observe_sampler(&g, &p, &nodes, &rw);
-    let est = CategoryGraphEstimator::new(Design::Weighted)
-        .size_method(SizeMethod::Star(StarSizeOptions::default()))
-        .estimate_star(&star, g.num_nodes() as f64);
+    let mut stream = ObservationStream::new(p.num_categories());
+    stream
+        .ingest_walk(
+            &ObservationContext::new(&g, &p),
+            &rw,
+            DesignKind::Weighted,
+            3000,
+            &mut rng,
+            &mut WalkStats::default(),
+        )
+        .unwrap();
+    let est = estimate_category_graph(
+        &stream,
+        g.num_nodes() as f64,
+        SizeMethod::Star(StarSizeOptions::default()),
+    );
 
     // Estimates should be in the right ballpark.
     let exact = CategoryGraph::exact(&g, &p);
@@ -75,9 +102,9 @@ fn full_pipeline_round_trip() {
 
 #[test]
 fn uniform_design_equals_unit_weight_sample() {
-    // Design::Uniform on a weighted observation must equal Design::Weighted
-    // on the same draw observed with unit weights — the §4 formulas are the
-    // §5 formulas with w ≡ 1.
+    // A weighted sampler's draw pushed under DesignKind::Uniform must equal
+    // the same draw pushed with unit weights — the §4 formulas are the §5
+    // formulas with w ≡ 1, and the design is fixed at ingest.
     let mut rng = StdRng::seed_from_u64(11);
     let cfg = PlantedConfig {
         category_sizes: vec![80, 160],
@@ -87,15 +114,15 @@ fn uniform_design_equals_unit_weight_sample() {
     let pg = planted_partition(&cfg, &mut rng).unwrap();
     let rw = RandomWalk::new();
     let nodes = rw.sample(&pg.graph, 800, &mut rng);
-    let weighted = StarSample::observe_sampler(&pg.graph, &pg.partition, &nodes, &rw);
-    let unit = StarSample::observe(&pg.graph, &pg.partition, &nodes);
-    let n = pg.graph.num_nodes() as f64;
-    let a = CategoryGraphEstimator::new(Design::Uniform).estimate_star(&weighted, n);
-    let b = CategoryGraphEstimator::new(Design::Weighted).estimate_star(&unit, n);
-    for c in 0..2u32 {
-        assert!((a.size(c) - b.size(c)).abs() < 1e-9);
-    }
-    assert!((a.weight(0, 1) - b.weight(0, 1)).abs() < 1e-12);
+    let uniform = stream_of(&pg.graph, &pg.partition, &nodes, &rw, DesignKind::Uniform);
+    let mut unit = ObservationStream::new(2);
+    unit.ingest_uniform(&ObservationContext::new(&pg.graph, &pg.partition), &nodes);
+    assert_eq!(uniform, unit);
+    // And the weighted reading of the same draw differs.
+    assert_ne!(
+        stream_of(&pg.graph, &pg.partition, &nodes, &rw, DesignKind::Weighted),
+        unit
+    );
 }
 
 #[test]
@@ -114,11 +141,10 @@ fn multiwalk_combination_improves_estimates() {
 
     // Per-walk estimates scatter around the truth; the combined sample's
     // estimate should have error no worse than the median per-walk error.
+    let star = SizeMethod::Star(StarSizeOptions::default());
     let estimate = |nodes: &[u32]| {
-        let star = StarSample::observe_sampler(&pg.graph, &pg.partition, nodes, &rw);
-        CategoryGraphEstimator::new(Design::Weighted)
-            .estimate_star(&star, n)
-            .size(0)
+        let stream = stream_of(&pg.graph, &pg.partition, nodes, &rw, DesignKind::Weighted);
+        estimate_category_graph(&stream, n, star).size(0)
     };
     let mut walk_errors: Vec<f64> = (0..mw.num_walks())
         .map(|i| (estimate(mw.walk(i)) - 100.0).abs())
@@ -135,9 +161,8 @@ fn multiwalk_combination_improves_estimates() {
 #[test]
 fn population_estimate_feeds_size_estimator() {
     // §4.3: when N is unknown, estimate it from collisions and plug it in.
-    use cgte::estimators::category_size::{induced_size, Records as _};
+    use cgte::estimators::category_size::induced_sizes_acc;
     use cgte::estimators::population::population_size_uniform;
-    use cgte::sampling::InducedSample;
     let mut rng = StdRng::seed_from_u64(13);
     let cfg = PlantedConfig {
         category_sizes: vec![200, 600],
@@ -148,9 +173,10 @@ fn population_estimate_feeds_size_estimator() {
     let nodes = UniformIndependence.sample(&pg.graph, 1500, &mut rng);
     let n_hat = population_size_uniform(&nodes).expect("collisions at this size");
     assert!((n_hat - 800.0).abs() / 800.0 < 0.25, "N̂ = {n_hat}");
-    let s = InducedSample::observe(&pg.graph, &pg.partition, &nodes);
-    assert_eq!(s.rec_num_categories(), 2);
-    let est = induced_size(&s, 0, n_hat).unwrap();
+    let uis = UniformIndependence;
+    let s = stream_of(&pg.graph, &pg.partition, &nodes, &uis, DesignKind::Uniform);
+    assert_eq!(s.num_categories(), 2);
+    let est = induced_sizes_acc(s.induced(), n_hat).unwrap()[0];
     assert!(
         (est - 200.0).abs() / 200.0 < 0.3,
         "|Â| = {est} using N̂ = {n_hat}"

@@ -8,9 +8,10 @@ use cgte::estimators::edge_weight::{
     induced_weight, induced_weights_acc, induced_weights_all, star_weights_acc, star_weights_all,
 };
 use cgte::estimators::hansen_hurwitz::reweighted_size;
+use cgte::estimators::{estimate_category_graph, SizeMethod};
 use cgte::graph::{CategoryGraph, Graph, GraphBuilder, NodeId, Partition};
 use cgte::sampling::{
-    AliasTable, InducedAccumulator, InducedSample, ObservationContext, StarAccumulator, StarSample,
+    AliasTable, InducedSample, ObservationContext, ObservationStream, StarSample,
 };
 use proptest::prelude::*;
 
@@ -41,6 +42,18 @@ fn arb_observed() -> impl Strategy<Value = (Graph, Partition, Vec<NodeId>)> {
             (g, p, sample)
         })
     })
+}
+
+/// A category graph's sizes and weights as raw bits, so equality is
+/// bit-identity (it tells `-0.0` from `0.0`).
+fn graph_bits(cg: &CategoryGraph) -> (Vec<u64>, Vec<u64>) {
+    (
+        cg.sizes().iter().map(|x| x.to_bits()).collect(),
+        cg.weight_matrix()
+            .iter_upper()
+            .map(|(_, _, w)| w.to_bits())
+            .collect(),
+    )
 }
 
 proptest! {
@@ -206,46 +219,69 @@ proptest! {
             vec![1.0; sample.len()]
         };
         let ctx = ObservationContext::new(&g, &p);
-        let mut ind_acc = InducedAccumulator::new(4);
-        let mut star_acc = StarAccumulator::new(4);
+        let mut stream = ObservationStream::new(4);
         let population = g.num_nodes() as f64;
         let opts_plugin = StarSizeOptions::default();
         let opts_model = StarSizeOptions { model_based_mean_degree: true };
         // Snapshot at every prefix length (the experiment snapshots at a
         // subset; every length is the stronger check).
         for i in 0..sample.len() {
-            ind_acc.push(&ctx, sample[i], weights[i]);
-            star_acc.push(&ctx, sample[i], weights[i]);
+            stream.push(&ctx, sample[i], weights[i]);
+            let (ind_acc, star_acc) = (stream.induced(), stream.star());
             let prefix = &sample[..=i];
             let wpfx = weights[..=i].to_vec();
             let ind = InducedSample::observe_with_weights(&g, &p, prefix, wpfx.clone());
             let star = StarSample::observe_with_weights(&g, &p, prefix, wpfx);
             prop_assert_eq!(
                 induced_sizes(&ind, population),
-                induced_sizes_acc(&ind_acc, population),
+                induced_sizes_acc(ind_acc, population),
                 "induced sizes diverged at prefix {}", i + 1
             );
             prop_assert_eq!(
                 star_sizes(&star, population, &opts_plugin),
-                star_sizes_acc(&star_acc, population, &opts_plugin),
+                star_sizes_acc(star_acc, population, &opts_plugin),
                 "star sizes (plug-in) diverged at prefix {}", i + 1
             );
             prop_assert_eq!(
                 star_sizes(&star, population, &opts_model),
-                star_sizes_acc(&star_acc, population, &opts_model),
+                star_sizes_acc(star_acc, population, &opts_model),
                 "star sizes (model) diverged at prefix {}", i + 1
             );
             prop_assert_eq!(
                 induced_weights_all(&ind),
-                induced_weights_acc(&ind_acc),
+                induced_weights_acc(ind_acc),
                 "induced weights diverged at prefix {}", i + 1
             );
             let sizes: Vec<f64> = (0..4u32).map(|c| p.category_size(c) as f64).collect();
             prop_assert_eq!(
                 star_weights_all(&star, &sizes),
-                star_weights_acc(&star_acc, &sizes),
+                star_weights_acc(star_acc, &sizes),
                 "star weights diverged at prefix {}", i + 1
             );
+            // The whole category graph against its from-scratch oracle:
+            // star sizes with induced fallback, then star weights.
+            let fallback = induced_sizes(&ind, population).unwrap_or_else(|| vec![0.0; 4]);
+            for method in [
+                SizeMethod::Induced,
+                SizeMethod::Star(opts_plugin),
+                SizeMethod::Star(opts_model),
+            ] {
+                let oracle_sizes: Vec<f64> = match method {
+                    SizeMethod::Induced => fallback.clone(),
+                    SizeMethod::Star(opts) => star_sizes(&star, population, &opts)
+                        .into_iter()
+                        .zip(&fallback)
+                        .map(|(s, &f)| s.unwrap_or(f))
+                        .collect(),
+                };
+                let oracle_weights = star_weights_all(&star, &oracle_sizes);
+                let oracle = CategoryGraph::from_weights(oracle_sizes, oracle_weights);
+                prop_assert_eq!(
+                    graph_bits(&estimate_category_graph(&stream, population, method)),
+                    graph_bits(&oracle),
+                    "category graph ({:?}) diverged at prefix {}", method, i + 1
+                );
+            }
         }
     }
 
