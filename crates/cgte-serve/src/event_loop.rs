@@ -1,30 +1,41 @@
 //! The connection engine.
 //!
-//! One event-loop thread owns the listener, the self-pipe, and every idle
-//! or partially-read connection, all in non-blocking mode on a vendored
-//! [`crate::poll::Poller`]. Each connection steps through a small state
-//! machine — reading-headers → reading-body → dispatched → writing — where
-//! the first two states live here (bytes accumulate in `Conn::buf` and
-//! the connection's [`http::Parser`] frames them, parsing each head once)
-//! and the last two live on a worker: the parsed request is checked out
-//! to the crossbeam pool as a [`Job`], the worker routes it and writes
-//! the response, and a keep-alive connection parks back here over the
-//! return channel (paired with a self-pipe wake-up).
+//! There is no loop thread and no hand-off: every worker runs the same
+//! loop on one shared [`Poller`] (the Leader/Followers pattern — the
+//! thread that waits on the event source also does the work). Each wait
+//! takes at most one event, so no worker holds a second ready connection
+//! while another sits idle.
 //!
-//! Idle connections therefore cost **no** thread and **no** periodic
-//! wake-up: readiness is level-triggered, and shutdown is a self-pipe
-//! wake.
+//! Connections are registered one-shot, so a ready connection goes to
+//! exactly one worker. That worker takes it out of the parked table,
+//! reads until the socket would block or a request is complete, routes
+//! and answers every complete request in the buffer (pipelined ones
+//! included), then puts the connection back in the table and re-arms it.
+//! Bytes accumulate in `Conn::buf` and the connection's [`http::Parser`]
+//! frames them, parsing each head once.
+//!
+//! The listener is level-triggered. The worker that accepts a connection
+//! reads it at once, so a request sent along with the connect (a cluster
+//! shard's `Connection: close` trip) is answered without a round trip
+//! through the poller. The shutdown self-pipe is level-triggered too and
+//! never drained: once written, it wakes every worker.
+//!
+//! Idle connections cost **no** thread and **no** periodic wake-up. A
+//! request that starts arriving gets a deadline (408 on expiry). Only
+//! connections holding a partial request are in the deadline index, so
+//! the 408 bookkeeping never scans the idle ones; whichever worker next
+//! returns from its wait answers what is overdue, and a worker never
+//! sleeps past the nearest deadline it saw.
 
 use crate::json::error_body;
 use crate::poll::{Events, Poller, WakeReceiver};
-use crate::{http, OpenConnGuard, ServerState};
-use crossbeam::channel::{Receiver, Sender};
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use crate::{http, respond, OpenConnGuard, ServerState};
+use std::collections::{BTreeSet, HashMap};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Token of the self-pipe read end.
@@ -38,37 +49,38 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Accept backoff doubles up to this cap.
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+/// Write budget of a one-line error on a connection being hung up: a peer
+/// that will not even read that is simply dropped.
+const ERROR_WRITE_BUDGET: Duration = Duration::from_secs(1);
+/// Bytes one `read` may take off a socket.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// A connection owned by the event loop (or checked out to a worker).
-pub(crate) struct Conn {
-    /// The socket, kept non-blocking while parked on the poller.
-    pub(crate) stream: TcpStream,
+/// A connection, parked in the table or held by one worker.
+struct Conn {
+    /// The socket, always non-blocking outside [`write_out`]'s fallback.
+    stream: TcpStream,
     token: u64,
-    /// Bytes received ahead of parsing; leftovers after a dispatch are
-    /// pipelined follow-up requests.
+    /// Bytes received ahead of parsing; leftovers after a request are
+    /// pipelined follow-ups.
     buf: Vec<u8>,
     /// Frames `buf`, caching the in-progress request's parsed head.
     parser: http::Parser,
     /// Absolute deadline for completing the in-progress request — armed
-    /// when its first byte arrives, cleared on dispatch, answered with
-    /// 408 on expiry. Idle (byte-less) connections never expire here.
+    /// when its first byte arrives, cleared once it is framed, answered
+    /// with 408 on expiry. Idle (byte-less) connections never expire.
     deadline: Option<Instant>,
+    /// Whether the socket is in the interest set yet (re-arm it) or not
+    /// (add it).
+    registered: bool,
     /// Decrements `cgte_serve_open_connections` when the connection
-    /// drops, wherever that happens (loop, worker, or teardown).
+    /// drops, wherever that happens.
     _guard: OpenConnGuard,
-}
-
-/// One parsed request checked out to the worker pool, with the
-/// connection it arrived on.
-pub(crate) struct Job {
-    pub(crate) conn: Conn,
-    pub(crate) req: http::Request,
 }
 
 impl Conn {
     /// Cuts one complete request off the front of the buffer. `Ok(None)`
-    /// means stay parked; an error is answered once and the connection
-    /// hung up.
+    /// means more bytes are needed; an error is answered once and the
+    /// connection hung up.
     fn try_extract(
         &mut self,
         max_body: usize,
@@ -82,255 +94,304 @@ impl Conn {
     }
 }
 
-/// Answers a terse error on a connection being hung up. The write gets a
-/// bounded blocking budget; a peer that will not even read a one-line
-/// error is simply dropped.
-fn answer_and_drop(mut conn: Conn, status: u16, msg: &str) {
-    let _ = conn.stream.set_nonblocking(false);
-    let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = http::write_json_response(&mut conn.stream, status, &error_body(msg), false);
-}
-
-struct Engine {
-    state: Arc<ServerState>,
-    poller: Poller,
-    listener: TcpListener,
+/// What the workers share under one lock.
+#[derive(Default)]
+struct Table {
+    /// Parked connections by token.
     conns: HashMap<u64, Conn>,
-    next_token: u64,
-    dispatch_tx: Sender<Job>,
-    accept_backoff: Duration,
+    /// `(deadline, token)` of every parked connection holding a partial
+    /// request.
+    deadlines: BTreeSet<(Instant, u64)>,
     /// While `Some`, the listener is out of the interest set until the
     /// instant passes (accept-error backoff without hot-spinning a
     /// level-triggered ready listener).
     accept_resume: Option<Instant>,
 }
 
-impl Engine {
-    /// Parks a connection on the poller — unless its buffer already holds
-    /// a complete pipelined request (dispatch immediately) or a protocol
-    /// violation (answer and close).
-    fn park(&mut self, mut conn: Conn) {
-        if self.state.shutdown.load(Ordering::SeqCst) {
-            return; // drops the connection
-        }
-        match conn.try_extract(self.state.max_body) {
-            Ok(Some(req)) => {
-                let _ = self.dispatch_tx.send(Job { conn, req });
-            }
-            Err(e) => answer_and_drop(conn, e.status(), &e.to_string()),
-            Ok(None) => {
-                if !conn.buf.is_empty() && conn.deadline.is_none() {
-                    conn.deadline = Some(Instant::now() + self.state.request_timeout);
-                }
-                if self.poller.add(conn.stream.as_raw_fd(), conn.token).is_ok() {
-                    self.conns.insert(conn.token, conn);
-                }
-                // A failed registration drops the connection.
-            }
-        }
-    }
-
-    /// Takes a connection off the poller and out of the table.
-    fn unregister(&mut self, token: u64) -> Option<Conn> {
+impl Table {
+    /// Takes a parked connection out of the table and its deadline index.
+    fn remove(&mut self, token: u64) -> Option<Conn> {
         let conn = self.conns.remove(&token)?;
-        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        if let Some(d) = conn.deadline {
+            self.deadlines.remove(&(d, token));
+        }
         Some(conn)
-    }
-
-    /// Drains a readable connection and advances its state machine: a
-    /// complete request is dispatched, a framing error answered and the
-    /// connection closed, EOF or a transport error closes it silently.
-    fn handle_readable(&mut self, token: u64) {
-        let max_body = self.state.max_body;
-        let request_timeout = self.state.request_timeout;
-        let outcome = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => break Err(None), // EOF
-                    Ok(n) => {
-                        if conn.buf.is_empty() {
-                            // First byte of a request: arm the deadline.
-                            conn.deadline = Some(Instant::now() + request_timeout);
-                        }
-                        conn.buf.extend_from_slice(&chunk[..n]);
-                        match conn.try_extract(max_body) {
-                            Ok(None) => continue,
-                            Ok(Some(req)) => break Ok(req),
-                            Err(e) => break Err(Some(e)),
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return, // stays parked
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break Err(None),
-                }
-            }
-        };
-        let Some(conn) = self.unregister(token) else {
-            return;
-        };
-        match outcome {
-            Ok(req) => {
-                // If the workers are gone (teardown) the connection drops.
-                let _ = self.dispatch_tx.send(Job { conn, req });
-            }
-            Err(Some(e)) => answer_and_drop(conn, e.status(), &e.to_string()),
-            Err(None) => {}
-        }
-    }
-
-    /// Accepts every pending connection (the listener is level-triggered
-    /// and non-blocking). On a transient accept failure — classically
-    /// EMFILE under fd exhaustion — the listener leaves the interest set
-    /// for a doubling backoff window instead of spinning hot.
-    fn do_accept(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.accept_backoff = ACCEPT_BACKOFF_MIN;
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _guard = OpenConnGuard::new(&self.state);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.park(Conn {
-                        stream,
-                        token,
-                        buf: Vec::new(),
-                        parser: http::Parser::default(),
-                        deadline: None,
-                        _guard,
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.state.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.poller.delete(self.listener.as_raw_fd());
-                    self.accept_resume = Some(Instant::now() + self.accept_backoff);
-                    self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Re-arms the listener once its backoff window has passed.
-    fn maybe_resume_listener(&mut self, now: Instant) {
-        if let Some(resume) = self.accept_resume {
-            if now >= resume {
-                if self
-                    .poller
-                    .add(self.listener.as_raw_fd(), TOKEN_LISTENER)
-                    .is_ok()
-                {
-                    self.accept_resume = None;
-                } else {
-                    self.accept_resume = Some(now + self.accept_backoff);
-                }
-            }
-        }
-    }
-
-    /// Answers 408 on every connection whose request deadline has passed
-    /// (the event-loop half of the slowloris fix).
-    fn expire(&mut self, now: Instant) {
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.deadline.is_some_and(|d| d <= now))
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.state.request_timeouts.fetch_add(1, Ordering::Relaxed);
-            if let Some(conn) = self.unregister(token) {
-                answer_and_drop(conn, 408, "timed out reading the request");
-            }
-        }
-    }
-
-    /// The nearest instant anything timed is due: a request deadline or
-    /// the listener's backoff resume. `None` sleeps until the next event.
-    fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let mut next: Option<Instant> = self.accept_resume;
-        for conn in self.conns.values() {
-            if let Some(d) = conn.deadline {
-                next = Some(next.map_or(d, |n| n.min(d)));
-            }
-        }
-        next.map(|t| t.saturating_duration_since(now))
     }
 }
 
-/// The event-loop thread body. The poller arrives with the self-pipe
-/// (token 0) and the non-blocking listener (token 1) already registered;
-/// dropping `dispatch_tx` on exit disconnects the channel and drains the
-/// worker pool.
-pub(crate) fn run(
+/// The engine every worker runs: the shared poller (self-pipe, listener
+/// and one-shot connection registrations) and the parked-connection
+/// table. It drops — closing every parked connection — when the last
+/// worker exits.
+pub(crate) struct Engine {
     state: Arc<ServerState>,
-    listener: TcpListener,
     poller: Poller,
-    wake_rx: WakeReceiver,
-    dispatch_tx: Sender<Job>,
-    ret_rx: Receiver<Conn>,
-) {
-    let mut engine = Engine {
-        state,
-        poller,
-        listener,
-        conns: HashMap::new(),
-        next_token: FIRST_CONN_TOKEN,
-        dispatch_tx,
-        accept_backoff: ACCEPT_BACKOFF_MIN,
-        accept_resume: None,
-    };
-    let mut events = Events::with_capacity(1024);
-    let mut ready: Vec<(u64, bool)> = Vec::new();
-    loop {
-        let now = Instant::now();
-        engine.maybe_resume_listener(now);
-        let timeout = engine.next_timeout(now);
-        if let Err(e) = engine.poller.wait(&mut events, timeout) {
-            if e.kind() == ErrorKind::Interrupted {
-                continue;
-            }
-            eprintln!("cgte-serve: event loop poll failed: {e}");
-            break;
+    listener: TcpListener,
+    /// Kept open for the engine's lifetime; never read.
+    _wake_rx: WakeReceiver,
+    next_token: AtomicU64,
+    /// The next accept-error backoff, in milliseconds.
+    accept_backoff_ms: AtomicU64,
+    table: Mutex<Table>,
+}
+
+impl Engine {
+    /// An engine over a poller that already holds the self-pipe (token 0)
+    /// and the non-blocking listener (token 1), both level-triggered.
+    pub(crate) fn new(
+        state: Arc<ServerState>,
+        listener: TcpListener,
+        poller: Poller,
+        wake_rx: WakeReceiver,
+    ) -> Engine {
+        Engine {
+            state,
+            poller,
+            listener,
+            _wake_rx: wake_rx,
+            next_token: AtomicU64::new(FIRST_CONN_TOKEN),
+            accept_backoff_ms: AtomicU64::new(ACCEPT_BACKOFF_MIN.as_millis() as u64),
+            table: Mutex::new(Table::default()),
         }
-        let mut accept_ready = false;
-        ready.clear();
-        for ev in events.iter() {
-            match ev.token {
-                TOKEN_WAKE => wake_rx.drain(),
-                TOKEN_LISTENER => accept_ready = true,
-                token => ready.push((token, ev.closed && !ev.readable)),
-            }
-        }
-        if engine.state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Workers hand finished keep-alive connections back over the
-        // return channel (each send paired with a self-pipe wake).
-        while let Ok(conn) = ret_rx.try_recv() {
-            engine.park(conn);
-        }
-        for &(token, dead) in &ready {
-            if dead {
-                engine.unregister(token);
-            } else {
-                engine.handle_readable(token);
-            }
-        }
-        if accept_ready {
-            engine.do_accept();
-        }
-        engine.expire(Instant::now());
     }
-    // Teardown: parked connections drop here (decrementing the gauge via
-    // their guards); dropping `dispatch_tx` drains and stops the workers.
+
+    /// The table lock. A panic never happens while it is held (handlers
+    /// run outside it), so a poisoned table is still consistent.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One worker's body: wait for one ready fd, take it to a written
+    /// response, repeat until shutdown.
+    pub(crate) fn run_worker(&self) {
+        let mut events = Events::with_capacity(1);
+        let mut chunk = vec![0u8; READ_CHUNK];
+        loop {
+            let timeout = self.tick(Instant::now());
+            if let Err(e) = self.poller.wait(&mut events, timeout) {
+                if e.kind() == ErrorKind::Interrupted {
+                    continue;
+                }
+                eprintln!("cgte-serve: worker poll failed: {e}");
+                break;
+            }
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            // Nothing ready means the wait timed out: the next tick
+            // answers what is overdue. The self-pipe is only written on
+            // shutdown, which the check above has seen.
+            let Some(ev) = events.iter().next() else {
+                continue;
+            };
+            match ev.token {
+                TOKEN_WAKE => {}
+                TOKEN_LISTENER => self.accept(&mut chunk),
+                token => {
+                    let conn = self.table().remove(token);
+                    if let Some(conn) = conn {
+                        if ev.readable || !ev.closed {
+                            self.drive(conn, &mut chunk);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answers 408 on every overdue partial request and re-adds the
+    /// listener once its backoff window has passed. Returns how long the
+    /// next wait may sleep: until the nearest deadline or backoff resume,
+    /// or forever.
+    fn tick(&self, now: Instant) -> Option<Duration> {
+        let mut expired = Vec::new();
+        let next = {
+            let mut table = self.table();
+            while let Some(&(deadline, token)) = table.deadlines.first() {
+                if deadline > now {
+                    break;
+                }
+                table.deadlines.pop_first();
+                expired.extend(table.conns.remove(&token));
+            }
+            if table.accept_resume.is_some_and(|resume| now >= resume) {
+                table.accept_resume =
+                    match self.poller.add(self.listener.as_raw_fd(), TOKEN_LISTENER) {
+                        Ok(()) => None,
+                        Err(_) => Some(now + self.accept_backoff()),
+                    };
+            }
+            let first = table.deadlines.first().map(|&(d, _)| d);
+            first.into_iter().chain(table.accept_resume).min()
+        };
+        for conn in expired {
+            self.state.request_timeouts.fetch_add(1, Ordering::Relaxed);
+            answer_and_drop(conn, 408, "timed out reading the request");
+        }
+        next.map(|t| t.saturating_duration_since(Instant::now()))
+    }
+
+    fn accept_backoff(&self) -> Duration {
+        Duration::from_millis(self.accept_backoff_ms.load(Ordering::Relaxed))
+    }
+
+    /// Accepts one pending connection and reads it straight away. On a
+    /// transient accept failure — classically EMFILE under fd exhaustion —
+    /// the listener leaves the interest set for a doubling backoff window
+    /// instead of spinning hot.
+    fn accept(&self, chunk: &mut [u8]) {
+        match self.listener.accept() {
+            Ok((stream, _)) => {
+                let min = ACCEPT_BACKOFF_MIN.as_millis() as u64;
+                if self.accept_backoff_ms.load(Ordering::Relaxed) != min {
+                    self.accept_backoff_ms.store(min, Ordering::Relaxed);
+                }
+                let _ = stream.set_nodelay(true);
+                if stream.set_nonblocking(true).is_err() {
+                    return;
+                }
+                let conn = Conn {
+                    stream,
+                    token: self.next_token.fetch_add(1, Ordering::Relaxed),
+                    buf: Vec::new(),
+                    parser: http::Parser::default(),
+                    deadline: None,
+                    registered: false,
+                    _guard: OpenConnGuard::new(&self.state),
+                };
+                self.drive(conn, chunk);
+            }
+            // Another worker took it, or a signal: the level-triggered
+            // listener reports again while anything is pending.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => {
+                self.state.accept_errors.fetch_add(1, Ordering::Relaxed);
+                let mut table = self.table();
+                let _ = self.poller.delete(self.listener.as_raw_fd());
+                let backoff = self.accept_backoff();
+                table.accept_resume = Some(Instant::now() + backoff);
+                let next = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                self.accept_backoff_ms
+                    .store(next.as_millis() as u64, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Takes a connection this worker holds from readiness to written
+    /// responses: reads until the socket would block or a request is
+    /// complete, answers every complete request in the buffer, then parks
+    /// it. EOF, a transport error, a failed write or a `Connection: close`
+    /// request drops it; a framing error is answered once and hangs up.
+    fn drive(&self, mut conn: Conn, chunk: &mut [u8]) {
+        let mut served = false;
+        loop {
+            match conn.try_extract(self.state.max_body) {
+                Ok(Some(req)) => {
+                    if !self.answer(&mut conn, &req) {
+                        return;
+                    }
+                    served = true;
+                    continue;
+                }
+                Err(e) => return answer_and_drop(conn, e.status(), &e.to_string()),
+                // Answered what was buffered: whatever arrives next wakes
+                // the re-armed registration.
+                Ok(None) if served => break,
+                Ok(None) => {}
+            }
+            match conn.stream.read(chunk) {
+                Ok(0) => return, // EOF
+                Ok(n) => {
+                    if conn.buf.is_empty() {
+                        // First byte of a request: arm the deadline.
+                        conn.deadline = Some(Instant::now() + self.state.request_timeout);
+                    }
+                    conn.buf.extend_from_slice(&chunk[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+        self.park(conn);
+    }
+
+    /// Routes one request and writes its response. `true` keeps the
+    /// connection.
+    fn answer(&self, conn: &mut Conn, req: &http::Request) -> bool {
+        let resp = respond(&self.state, req);
+        let bytes = http::response_bytes(&resp, req.keep_alive);
+        write_out(&conn.stream, &bytes, self.state.request_timeout).is_ok()
+            && req.keep_alive
+            && !self.state.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Puts a connection this worker holds back in the table, then arms
+    /// its registration. The insert comes first, so a worker handed the
+    /// token finds the connection; both run under the table lock, so a
+    /// 408 expiry, which closes the socket, cannot come between them and
+    /// let a reused fd number be armed under this token.
+    fn park(&self, mut conn: Conn) {
+        if self.state.shutdown.load(Ordering::SeqCst) {
+            return; // drops the connection
+        }
+        if !conn.buf.is_empty() && conn.deadline.is_none() {
+            // A partial pipelined request behind an answered one.
+            conn.deadline = Some(Instant::now() + self.state.request_timeout);
+        }
+        let (fd, token, registered) = (conn.stream.as_raw_fd(), conn.token, conn.registered);
+        conn.registered = true;
+        let mut table = self.table();
+        if let Some(d) = conn.deadline {
+            table.deadlines.insert((d, token));
+        }
+        table.conns.insert(token, conn);
+        let armed = if registered {
+            self.poller.rearm(fd, token)
+        } else {
+            self.poller.add_oneshot(fd, token)
+        };
+        if armed.is_err() {
+            table.remove(token); // drops the connection
+        }
+    }
+}
+
+/// Writes `bytes` to a non-blocking socket. What the send buffer takes at
+/// once goes without a mode switch. Only when it fills (a large snapshot
+/// download) does the rest go through a blocking `write_all`, each send
+/// bounded by `budget`, after which the socket is non-blocking again.
+fn write_out(mut stream: &TcpStream, bytes: &[u8], budget: Duration) -> io::Result<()> {
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                stream.set_nonblocking(false)?;
+                stream.set_write_timeout(Some(budget))?;
+                let written = stream.write_all(rest);
+                stream.set_nonblocking(true)?;
+                return written;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Answers a terse error on a connection being hung up.
+fn answer_and_drop(conn: Conn, status: u16, msg: &str) {
+    let resp = http::Response {
+        status,
+        content_type: "application/json",
+        headers: Vec::new(),
+        body: error_body(msg).into_bytes(),
+    };
+    let _ = write_out(
+        &conn.stream,
+        &http::response_bytes(&resp, false),
+        ERROR_WRITE_BUDGET,
+    );
 }

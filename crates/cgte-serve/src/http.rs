@@ -4,7 +4,8 @@
 //! refused), no TLS, no percent-decoding — the API uses only simple paths
 //! and JSON bodies, and the build environment is dependency-free by
 //! constraint. One incremental [`Parser`] frames every request, whether
-//! the event loop or a blocking reader ([`read_request`]) drives it.
+//! the connection engine or a blocking reader ([`read_request`]) drives
+//! it.
 
 use std::io::{self, BufRead, Write};
 
@@ -264,9 +265,9 @@ fn parse_head(head: &[u8], max_body: usize) -> Result<Head, RequestError> {
 }
 
 /// Reads one request from a blocking stream through the same [`Parser`]
-/// the event loop drives, at the hard [`MAX_BODY`] cap. `Ok(None)` is a
-/// clean end-of-stream before the first byte. Bytes past the request are
-/// never consumed, so a pipelined follow-up stays in `r`.
+/// the connection engine drives, at the hard [`MAX_BODY`] cap. `Ok(None)`
+/// is a clean end-of-stream before the first byte. Bytes past the request
+/// are never consumed, so a pipelined follow-up stays in `r`.
 pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
     let mut parser = Parser::default();
     let mut buf = Vec::new();
@@ -452,13 +453,19 @@ impl Response {
     }
 }
 
-/// Writes a response.
-///
-/// The whole response is composed in memory and sent with **one**
-/// `write_all` — emitting header fragments as separate small socket
-/// writes triggers the Nagle + delayed-ACK interaction (~40–200 ms
-/// stalls per request) that would dominate every latency measurement.
+/// Writes a response composed by [`response_bytes`] with one `write_all`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) -> io::Result<()> {
+    w.write_all(&response_bytes(resp, keep_alive))?;
+    w.flush()
+}
+
+/// Composes a whole response — head and body — in one buffer.
+///
+/// A response goes out in **one** write: emitting header fragments as
+/// separate small socket writes triggers the Nagle + delayed-ACK
+/// interaction (~40–200 ms stalls per request) that would dominate every
+/// latency measurement.
+pub fn response_bytes(resp: &Response, keep_alive: bool) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -475,8 +482,7 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) ->
     let mut out = Vec::with_capacity(head.len() + resp.body.len());
     out.extend_from_slice(head.as_bytes());
     out.extend_from_slice(&resp.body);
-    w.write_all(&out)?;
-    w.flush()
+    out
 }
 
 /// Writes a JSON response (sugar over [`write_response`]).
@@ -736,8 +742,8 @@ mod tests {
         Out::Req(req.method, req.path, req.query, req.body, req.keep_alive)
     }
 
-    /// Feeds `chunks` the way the event loop does: append each read, then
-    /// frame every complete request before the next read.
+    /// Feeds `chunks` the way the connection engine does: append each
+    /// read, then frame every complete request before the next read.
     fn frame_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<Out> {
         let (mut parser, mut buf, mut out) = (Parser::default(), Vec::new(), Vec::new());
         for chunk in chunks {

@@ -34,19 +34,19 @@
 //! nothing past the last checkpoint.
 //!
 //! Transport is a dependency-free HTTP/1.1 subset on
-//! `std::net::TcpListener`, and the server is **event-driven**: one loop
-//! thread owns every idle connection in non-blocking mode on a vendored
-//! epoll poller ([`poll`]), and the bounded worker pool (`--threads`,
-//! vendored crossbeam MPMC channel) executes *requests*, not connections
-//! — a parsed request is checked out to a worker, the response written,
-//! and the connection parks back on the poller. Serving is Linux-only:
-//! the poller exists where `build.rs` sets `cfg(cgte_epoll)` (64-bit
-//! Linux), and elsewhere the crate still compiles but [`Server::bind`]
-//! answers `ErrorKind::Unsupported`. Estimate values are bit-identical to
-//! the batch `run_experiment` path on the same sampled sequence: both
-//! call the one shared snapshot function
-//! (`cgte_core::estimate_stream_into`) over the same streaming kernel
-//! (`cgte_sampling::ObservationStream`).
+//! `std::net::TcpListener`, and the server is **event-driven**: the
+//! `--threads` workers all wait on one vendored epoll poller ([`poll`])
+//! that holds every idle connection, non-blocking and registered
+//! one-shot. The worker handed a ready connection reads it, routes the
+//! request, writes the response and re-arms the connection, so a request
+//! never changes threads and an idle connection costs no thread. Serving
+//! is Linux-only: the poller exists where `build.rs` sets
+//! `cfg(cgte_epoll)` (64-bit Linux), and elsewhere the crate still
+//! compiles but [`Server::bind`] answers `ErrorKind::Unsupported`.
+//! Estimate values are bit-identical to the batch `run_experiment` path
+//! on the same sampled sequence: both call the one shared snapshot
+//! function (`cgte_core::estimate_stream_into`) over the same streaming
+//! kernel (`cgte_sampling::ObservationStream`).
 
 // `deny` rather than `forbid`: the vendored epoll module below is the
 // single, explicitly-allowed exception (raw readiness syscalls for the
@@ -324,7 +324,7 @@ struct ServerState {
     shutdown: AtomicBool,
     addr: SocketAddr,
     started: Instant,
-    /// Write end of the event loop's self-pipe: wakes the loop for
+    /// Write end of the engine's self-pipe: wakes every worker for
     /// shutdown.
     #[cfg(cgte_epoll)]
     waker: poll::Waker,
@@ -332,7 +332,7 @@ struct ServerState {
 
 /// Accounts one open connection in the `cgte_serve_open_connections`
 /// gauge for exactly as long as the guard lives. The guard travels with
-/// the connection between the event loop and the workers, so the gauge
+/// the connection between the parked table and the workers, so the gauge
 /// is correct no matter where the connection is dropped.
 struct OpenConnGuard {
     state: Arc<ServerState>,
@@ -369,13 +369,12 @@ impl ServerState {
 /// A running server: bound address plus join/shutdown handles.
 pub struct Server {
     state: Arc<ServerState>,
-    accept: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener, spawns the event loop and the worker pool, and
-    /// returns immediately. Fails with `ErrorKind::Unsupported` on
+    /// Binds the listener, spawns the workers of the connection engine,
+    /// and returns immediately. Fails with `ErrorKind::Unsupported` on
     /// targets without the epoll engine.
     pub fn bind(cfg: &ServeConfig) -> std::io::Result<Server> {
         #[cfg(not(cgte_epoll))]
@@ -388,8 +387,8 @@ impl Server {
         }
         #[cfg(cgte_epoll)]
         {
-            // The loop thread owns the listener and every parked
-            // connection; workers execute parsed requests.
+            // Every worker waits on the one poller and serves what it is
+            // handed; the last one to exit drops the engine.
             use std::os::unix::io::AsRawFd as _;
             let listener = std::net::TcpListener::bind(&cfg.addr)?;
             let addr = listener.local_addr()?;
@@ -421,27 +420,19 @@ impl Server {
                 started: Instant::now(),
                 waker,
             });
-            let (dispatch_tx, dispatch_rx) = crossbeam::channel::unbounded::<event_loop::Job>();
-            let (ret_tx, ret_rx) = crossbeam::channel::unbounded::<event_loop::Conn>();
-            let workers: Vec<_> = (0..cfg.threads.max(1))
+            let engine = Arc::new(event_loop::Engine::new(
+                Arc::clone(&state),
+                listener,
+                poller,
+                wake_rx,
+            ));
+            let workers = (0..cfg.threads.max(1))
                 .map(|_| {
-                    let rx = dispatch_rx.clone();
-                    let ret_tx = ret_tx.clone();
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || event_worker(&state, &rx, &ret_tx))
+                    let engine = Arc::clone(&engine);
+                    std::thread::spawn(move || engine.run_worker())
                 })
                 .collect();
-            let loop_state = Arc::clone(&state);
-            let accept = std::thread::spawn(move || {
-                // Dropping `dispatch_tx` on exit disconnects the channel
-                // and drains the workers.
-                event_loop::run(loop_state, listener, poller, wake_rx, dispatch_tx, ret_rx);
-            });
-            Ok(Server {
-                state,
-                accept,
-                workers,
-            })
+            Ok(Server { state, workers })
         }
     }
 
@@ -450,50 +441,19 @@ impl Server {
         self.state.addr
     }
 
-    /// Requests shutdown: sets the flag and wakes the event loop over its
+    /// Requests shutdown: sets the flag and wakes every worker over the
     /// self-pipe.
     pub fn shutdown(&self) {
         request_shutdown(&self.state);
     }
 
-    /// Waits for the connection engine and every worker to exit (i.e.
-    /// until a shutdown was requested and all in-flight work finished).
+    /// Waits for every worker to exit (i.e. until a shutdown was requested
+    /// and all in-flight work finished). Parked connections and the
+    /// listener close with the last worker.
     pub fn join(self) {
-        self.accept.join().expect("accept thread panicked");
         for w in self.workers {
             w.join().expect("worker thread panicked");
         }
-    }
-}
-
-/// Worker body of the event engine: execute one parsed request, write
-/// the response (the "writing" state of the connection machine, with a
-/// bounded blocking budget), then park the keep-alive connection back on
-/// the event loop via the return channel + self-pipe wake.
-#[cfg(cgte_epoll)]
-fn event_worker(
-    state: &Arc<ServerState>,
-    rx: &crossbeam::channel::Receiver<event_loop::Job>,
-    ret_tx: &crossbeam::channel::Sender<event_loop::Conn>,
-) {
-    while let Ok(event_loop::Job { mut conn, req }) = rx.recv() {
-        let keep_alive = req.keep_alive;
-        let resp = respond(state, &req);
-        if conn.stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        let _ = conn.stream.set_write_timeout(Some(state.request_timeout));
-        let ok = http::write_response(&mut conn.stream, &resp, keep_alive).is_ok();
-        if ok
-            && keep_alive
-            && !state.shutdown.load(Ordering::SeqCst)
-            && conn.stream.set_nonblocking(true).is_ok()
-            && ret_tx.send(conn).is_ok()
-        {
-            state.waker.wake();
-        }
-        // Any other outcome drops the connection here (its guard keeps
-        // the open-connections gauge honest).
     }
 }
 

@@ -5,25 +5,30 @@
 //! libc (which std already links on unix), so no crate is pulled in. The
 //! module only compiles on `cgte_epoll` platforms (Linux on the 64-bit
 //! architectures whose flag constants are vendored below — see
-//! `build.rs`); elsewhere the server keeps the portable
-//! thread-per-connection path.
+//! `build.rs`); elsewhere nothing can be served and `Server::bind`
+//! answers `ErrorKind::Unsupported`.
 //!
 //! # Safety model
 //!
 //! Every unsafe block is a single syscall over values we own:
 //!
-//! - [`Poller`] owns the epoll fd it creates and closes it on drop; `add`
-//!   / `delete` pass borrowed raw fds that the *caller* keeps alive for
-//!   the duration of their registration (the event loop owns every
-//!   registered `TcpStream` and deregisters before dropping it).
+//! - [`Poller`] owns the epoll fd it creates and closes it on drop; `add`,
+//!   `add_oneshot`, `rearm` and `delete` pass borrowed raw fds that the
+//!   *caller* keeps open while it calls them. A connection socket may be
+//!   closed while registered: the kernel drops the registration with the
+//!   last reference to the socket, and the engine never reuses a token, so
+//!   an event dequeued just before the close finds no connection under
+//!   its token.
 //! - [`Poller::wait`] hands the kernel a pointer + capacity into a
 //!   buffer we own and trusts the returned count, exactly like `read`.
 //! - The self-pipe pair ([`wake_pipe`]) owns both ends; `wake`/`drain`
 //!   are plain `write`/`read` on them, and both fds are closed on drop.
 //!
-//! No fd is ever closed while registered, and no buffer is ever handed
-//! out past its lifetime, so the usual epoll hazards (stale registrations
-//! firing on reused fd numbers) cannot arise.
+//! No buffer is ever handed out past its lifetime. The one epoll hazard
+//! left to the caller is re-arming a fd number that was closed and reused
+//! in between. The engine re-arms a connection under the same table lock
+//! it parks the connection under, so no other thread can take it out
+//! (and close it) before the re-arm.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -39,10 +44,12 @@ mod sys {
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
     pub const EPOLL_CTL_DEL: c_int = 2;
+    pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
     pub const O_CLOEXEC: c_int = 0o2000000;
     pub const O_NONBLOCK: c_int = 0o4000;
 
@@ -123,8 +130,14 @@ impl Events {
     }
 }
 
-/// An owned epoll instance: level-triggered read-interest registrations
-/// keyed by caller-chosen `u64` tokens.
+/// Read interest of a level-triggered registration.
+const LEVEL_READ: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
+/// Read interest of a one-shot registration.
+const ONESHOT_READ: u32 = LEVEL_READ | sys::EPOLLONESHOT;
+
+/// An owned epoll instance: read-interest registrations, level-triggered
+/// or one-shot, keyed by caller-chosen `u64` tokens. Any number of
+/// threads may wait on one poller at once.
 #[derive(Debug)]
 pub struct Poller {
     epfd: RawFd,
@@ -147,13 +160,31 @@ impl Poller {
     /// registered fd would let the kernel reuse its number under a stale
     /// token).
     pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, LEVEL_READ, token)
+    }
+
+    /// Registers `fd` for one-shot read readiness under `token`: the first
+    /// event disarms it, so exactly one [`Poller::wait`] caller is handed
+    /// the fd until [`Poller::rearm`] arms it again.
+    pub fn add_oneshot(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, ONESHOT_READ, token)
+    }
+
+    /// Re-arms a one-shot registration of `fd` under `token`. Data that is
+    /// already pending reports at once.
+    pub fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, ONESHOT_READ, token)
+    }
+
+    /// One `epoll_ctl` call.
+    fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         let mut ev = sys::EpollEvent {
-            events: sys::EPOLLIN | sys::EPOLLRDHUP,
+            events,
             data: token,
         };
         // SAFETY: `ev` outlives the call; the kernel copies it before
-        // returning. `fd` is valid by the caller contract above.
-        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) };
+        // returning. `fd` is open by the callers' contract.
+        let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -162,14 +193,9 @@ impl Poller {
 
     /// Removes `fd` from the interest set.
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        let mut ev = sys::EpollEvent { events: 0, data: 0 };
-        // SAFETY: same contract as `add`; the event argument is ignored
-        // for DEL on modern kernels but must be non-null on pre-2.6.9.
-        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        // The event argument is ignored for DEL on modern kernels but must
+        // be non-null on pre-2.6.9.
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
@@ -211,7 +237,7 @@ impl Drop for Poller {
 }
 
 /// The write end of the self-pipe: wakes a [`Poller::wait`] from any
-/// thread (workers parking connections back, `Server::shutdown`).
+/// thread (`Server::shutdown`).
 #[derive(Debug)]
 pub struct Waker {
     write_fd: RawFd,
@@ -237,7 +263,7 @@ impl Drop for Waker {
     }
 }
 
-/// The read end of the self-pipe, registered on the event loop's poller.
+/// The read end of the self-pipe, registered on the engine's poller.
 #[derive(Debug)]
 pub struct WakeReceiver {
     read_fd: RawFd,
@@ -270,7 +296,7 @@ impl Drop for WakeReceiver {
     }
 }
 
-/// Creates the non-blocking self-pipe pair used for loop wake-ups.
+/// Creates the non-blocking self-pipe pair used for wake-ups.
 pub fn wake_pipe() -> io::Result<(WakeReceiver, Waker)> {
     let mut fds = [0i32; 2];
     // SAFETY: pipe2 fills the two-element array we own; both fds (checked
@@ -350,6 +376,83 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(events.is_empty());
+    }
+
+    /// A connected (client, server side) pair, the server side
+    /// non-blocking as the engine keeps it.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        (client, server_side)
+    }
+
+    /// Waits up to `timeout` and returns the tokens reported.
+    fn tokens(poller: &Poller, events: &mut Events, timeout: Duration) -> Vec<u64> {
+        poller.wait(events, Some(timeout)).unwrap();
+        events.iter().map(|e| e.token).collect()
+    }
+
+    #[test]
+    fn oneshot_reports_once_and_stays_silent_while_data_is_pending() {
+        let (mut client, server_side) = tcp_pair();
+        let poller = Poller::new().unwrap();
+        poller.add_oneshot(server_side.as_raw_fd(), 5).unwrap();
+        let mut events = Events::with_capacity(8);
+
+        client.write_all(b"ping").unwrap();
+        assert_eq!(tokens(&poller, &mut events, Duration::from_secs(5)), [5]);
+        // The bytes are still unread, yet the registration is disarmed —
+        // and more bytes do not arm it again.
+        assert!(tokens(&poller, &mut events, Duration::from_millis(20)).is_empty());
+        client.write_all(b"pong").unwrap();
+        assert!(tokens(&poller, &mut events, Duration::from_millis(20)).is_empty());
+    }
+
+    #[test]
+    fn rearm_with_data_already_pending_reports_at_once() {
+        let (mut client, server_side) = tcp_pair();
+        let poller = Poller::new().unwrap();
+        poller.add_oneshot(server_side.as_raw_fd(), 5).unwrap();
+        let mut events = Events::with_capacity(8);
+        client.write_all(b"ping").unwrap();
+        assert_eq!(tokens(&poller, &mut events, Duration::from_secs(5)), [5]);
+
+        // Re-armed under a new token over unread bytes: the very next
+        // wait reports it without blocking.
+        poller.rearm(server_side.as_raw_fd(), 6).unwrap();
+        assert_eq!(tokens(&poller, &mut events, Duration::ZERO), [6]);
+        assert!(tokens(&poller, &mut events, Duration::from_millis(20)).is_empty());
+    }
+
+    #[test]
+    fn level_triggered_fd_keeps_reporting_beside_a_oneshot_one() {
+        let (mut one_client, one_side) = tcp_pair();
+        let (mut level_client, level_side) = tcp_pair();
+        let poller = Poller::new().unwrap();
+        poller.add_oneshot(one_side.as_raw_fd(), 1).unwrap();
+        poller.add(level_side.as_raw_fd(), 2).unwrap();
+        let mut events = Events::with_capacity(8);
+
+        one_client.write_all(b"a").unwrap();
+        level_client.write_all(b"b").unwrap();
+        // Both reach the ready list; the one-shot fd reports once, the
+        // level-triggered one on every wait while its byte is unread.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut seen = Vec::new();
+        while seen.len() < 2 && std::time::Instant::now() < deadline {
+            for t in tokens(&poller, &mut events, Duration::from_millis(100)) {
+                if !seen.contains(&t) {
+                    seen.push(t);
+                }
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2]);
+        for _ in 0..3 {
+            assert_eq!(tokens(&poller, &mut events, Duration::from_secs(5)), [2]);
+        }
     }
 
     #[test]
