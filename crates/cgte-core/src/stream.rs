@@ -97,6 +97,16 @@ impl StreamEstimate {
     pub fn num_categories(&self) -> usize {
         self.weights_induced.num_categories()
     }
+
+    /// Heap bytes the buffer holds: three per-category vectors and the two
+    /// `O(C²)` weight triangles.
+    pub fn heap_bytes(&self) -> usize {
+        self.sizes_induced.capacity() * std::mem::size_of::<f64>()
+            + self.sizes_star.capacity() * std::mem::size_of::<Option<f64>>()
+            + self.plug_sizes.capacity() * std::mem::size_of::<f64>()
+            + self.weights_induced.heap_bytes()
+            + self.weights_star.heap_bytes()
+    }
 }
 
 /// Snapshots both estimator families from raw accumulator state into a

@@ -357,6 +357,47 @@ mod tests {
         );
     }
 
+    /// The spectral partitions of fig4's four default-scale stand-ins
+    /// (`scale_div` 8, top-20, the scenario's seeds), pinned by an FNV-1a
+    /// digest of their labels: a change to the leading-eigenvector path
+    /// that moves one node's category fails here.
+    #[test]
+    fn fig4_spectral_partitions_are_pinned() {
+        const FIG4_SEED: u64 = 0x2012_5EED;
+        let pins = [
+            (StandinKind::FacebookTexas, 0, 0xf929_cf20_1188_4d24u64),
+            (
+                StandinKind::FacebookNewOrleans,
+                40503,
+                0xabc9_0005_79fd_c9b7,
+            ),
+            (StandinKind::P2p, 81006, 0xd28c_705e_be3e_cb3f),
+            (StandinKind::Epinions, 121509, 0xd296_1aa4_0297_db04),
+        ];
+        // Compared as hex strings so a failure prints digests as pinned.
+        let got: Vec<(&str, String)> = pins
+            .iter()
+            .map(|&(kind, seed_xor, _)| {
+                let mut rng = StdRng::seed_from_u64(FIG4_SEED ^ seed_xor);
+                let g = standin(kind, 8, &mut rng);
+                let p = standin_partition(&g, 20, true, &mut rng);
+                let digest = p
+                    .assignments()
+                    .iter()
+                    .flat_map(|c| c.to_le_bytes())
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+                    });
+                (kind.name(), format!("{digest:#018x}"))
+            })
+            .collect();
+        let want: Vec<(&str, String)> = pins
+            .iter()
+            .map(|&(k, _, d)| (k.name(), format!("{d:#018x}")))
+            .collect();
+        assert_eq!(got, want, "label digests moved");
+    }
+
     #[test]
     fn spectral_partition_on_small_standin() {
         let mut rng = StdRng::seed_from_u64(5);

@@ -62,37 +62,105 @@ impl Default for CommunityOptions {
     }
 }
 
-/// Multiplies the generalized modularity matrix `B^(g)` of a node group by a
-/// vector `x` (Newman 2006, Eq. 6): for `i` in the group,
-/// `y_i = Σ_{j∈g, j∼i} x_j − (k_i/2m)·Σ_{j∈g} k_j x_j − x_i·(d_i^{(g)} − k_i K_g / 2m)`.
-///
-/// `local[v]` maps global node id to group index or `usize::MAX`.
-fn modularity_matvec(
-    g: &Graph,
-    group: &[NodeId],
-    local: &[usize],
-    deg_in_group: &[f64],
-    group_volume: f64,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let two_m = g.total_volume() as f64;
-    let kx: f64 = group
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| g.degree(v) as f64 * x[i])
-        .sum();
-    for (i, &v) in group.iter().enumerate() {
-        let k_i = g.degree(v) as f64;
-        let mut a_x = 0.0;
-        for &u in g.neighbors(v) {
-            let j = local[u as usize];
-            if j != usize::MAX {
-                a_x += x[j];
+/// One work group's induced subgraph, built once per group: row `i` lists
+/// the group indices of `group[i]`'s in-group neighbours in their global
+/// adjacency order, next to `k_i` and the self term
+/// `d_i^{(g)} − k_i K_g / 2m`.
+struct GroupCsr {
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
+    degree: Vec<f64>,
+    self_term: Vec<f64>,
+    two_m: f64,
+}
+
+impl GroupCsr {
+    /// `local[v]` maps global node id to group index, `u32::MAX` outside.
+    fn new(g: &Graph, group: &[NodeId], local: &[u32]) -> Self {
+        let two_m = g.total_volume() as f64;
+        let mut offsets = Vec::with_capacity(group.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::new();
+        for &v in group {
+            neighbors.extend(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&u| local[u as usize])
+                    .filter(|&j| j != u32::MAX),
+            );
+            offsets.push(neighbors.len());
+        }
+        let degree: Vec<f64> = group.iter().map(|&v| g.degree(v) as f64).collect();
+        let group_volume: f64 = degree.iter().sum();
+        let self_term = degree
+            .iter()
+            .zip(offsets.windows(2))
+            .map(|(&k_i, w)| (w[1] - w[0]) as f64 - k_i * group_volume / two_m)
+            .collect();
+        GroupCsr {
+            offsets,
+            neighbors,
+            degree,
+            self_term,
+            two_m,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// `y = (B^(g) + shift·I) x` (Newman 2006, Eq. 6): for `i` in the group,
+    /// `y_i = Σ_{j∈g, j∼i} x_j − (k_i/2m)·Σ_{j∈g} k_j x_j − x_i·(d_i^{(g)} − k_i K_g / 2m)`,
+    /// plus `shift·x_i` when `shift` is not zero.
+    ///
+    /// Rows go four at a time so four independent add chains overlap; each
+    /// row's sum still starts from `0.0` and adds in adjacency order, so
+    /// every `y_i` is the same to the bit as a row-at-a-time sum.
+    fn matvec(&self, x: &[f64], shift: f64, y: &mut [f64]) {
+        let kx: f64 = self
+            .degree
+            .iter()
+            .zip(x)
+            .map(|(&k_i, &x_i)| k_i * x_i)
+            .sum();
+        let finish = |i: usize, a_x: f64| {
+            let v = a_x - self.degree[i] * kx / self.two_m - x[i] * self.self_term[i];
+            if shift != 0.0 {
+                v + shift * x[i]
+            } else {
+                v
+            }
+        };
+        let n = x.len();
+        let quads = n - n % 4;
+        for i in (0..quads).step_by(4) {
+            let rows: [&[u32]; 4] = std::array::from_fn(|q| self.row(i + q));
+            let common = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+            let [r0, r1, r2, r3] = rows.map(|r| &r[..common]);
+            let mut a_x = [0.0f64; 4];
+            for t in 0..common {
+                a_x[0] += x[r0[t] as usize];
+                a_x[1] += x[r1[t] as usize];
+                a_x[2] += x[r2[t] as usize];
+                a_x[3] += x[r3[t] as usize];
+            }
+            for (a, r) in a_x.iter_mut().zip(&rows) {
+                for &j in &r[common..] {
+                    *a += x[j as usize];
+                }
+            }
+            for (q, &a) in a_x.iter().enumerate() {
+                y[i + q] = finish(i + q, a);
             }
         }
-        let self_term = deg_in_group[i] - k_i * group_volume / two_m;
-        y[i] = a_x - k_i * kx / two_m - x[i] * self_term;
+        for (i, y_i) in (quads..n).zip(&mut y[quads..n]) {
+            let mut a_x = 0.0;
+            for &j in self.row(i) {
+                a_x += x[j as usize];
+            }
+            *y_i = finish(i, a_x);
+        }
     }
 }
 
@@ -102,26 +170,17 @@ fn modularity_matvec(
 /// negative, re-run on the shifted matrix `B + (|λ|+1)·I` whose dominant
 /// eigenvalue corresponds to B's most positive one.
 fn leading_eigenpair<R: Rng + ?Sized>(
-    g: &Graph,
-    group: &[NodeId],
-    local: &[usize],
-    deg_in_group: &[f64],
-    group_volume: f64,
+    csr: &GroupCsr,
     opts: &CommunityOptions,
     rng: &mut R,
 ) -> (f64, Vec<f64>) {
-    let n = group.len();
+    let n = csr.degree.len();
     let run = |shift: f64, rng: &mut R| -> (f64, Vec<f64>) {
         let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y = vec![0.0; n];
         let mut lambda = 0.0f64;
         for _ in 0..opts.max_power_iters {
-            modularity_matvec(g, group, local, deg_in_group, group_volume, &x, &mut y);
-            if shift != 0.0 {
-                for i in 0..n {
-                    y[i] += shift * x[i];
-                }
-            }
+            csr.matvec(&x, shift, &mut y);
             let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
             if norm < 1e-300 {
                 return (0.0, x);
@@ -141,7 +200,7 @@ fn leading_eigenpair<R: Rng + ?Sized>(
             }
         }
         // Signed Rayleigh quotient for the unshifted matrix.
-        modularity_matvec(g, group, local, deg_in_group, group_volume, &x, &mut y);
+        csr.matvec(&x, 0.0, &mut y);
         let rq: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         (rq, x)
     };
@@ -174,7 +233,7 @@ pub fn leading_eigenvector_communities<R: Rng + ?Sized>(
     if n == 0 || g.num_edges() == 0 {
         return labels;
     }
-    let mut local = vec![usize::MAX; n];
+    let mut local = vec![u32::MAX; n];
     let mut final_groups: Vec<Vec<NodeId>> = Vec::new();
     let mut work: Vec<Vec<NodeId>> = vec![(0..n as NodeId).collect()];
     let four_m = 2.0 * g.total_volume() as f64;
@@ -185,20 +244,13 @@ pub fn leading_eigenvector_communities<R: Rng + ?Sized>(
             continue;
         }
         for (i, &v) in group.iter().enumerate() {
-            local[v as usize] = i;
+            local[v as usize] = i as u32;
         }
-        let deg_in_group: Vec<f64> = group
-            .iter()
-            .map(|&v| {
-                g.neighbors(v)
-                    .iter()
-                    .filter(|&&u| local[u as usize] != usize::MAX)
-                    .count() as f64
-            })
-            .collect();
-        let group_volume: f64 = group.iter().map(|&v| g.degree(v) as f64).sum();
-        let (lambda, vec) =
-            leading_eigenpair(g, &group, &local, &deg_in_group, group_volume, opts, rng);
+        let csr = GroupCsr::new(g, &group, &local);
+        for &v in &group {
+            local[v as usize] = u32::MAX;
+        }
+        let (lambda, vec) = leading_eigenpair(&csr, opts, rng);
 
         let mut accept = false;
         let mut a: Vec<NodeId> = Vec::new();
@@ -210,7 +262,7 @@ pub fn leading_eigenvector_communities<R: Rng + ?Sized>(
                 .collect();
             // ΔQ = s·(B s) / 4m.
             let mut bs = vec![0.0; group.len()];
-            modularity_matvec(g, &group, &local, &deg_in_group, group_volume, &s, &mut bs);
+            csr.matvec(&s, 0.0, &mut bs);
             let delta_q: f64 = s.iter().zip(&bs).map(|(x, y)| x * y).sum::<f64>() / four_m;
             if delta_q > opts.min_delta_q {
                 for (i, &v) in group.iter().enumerate() {
@@ -222,9 +274,6 @@ pub fn leading_eigenvector_communities<R: Rng + ?Sized>(
                 }
                 accept = !a.is_empty() && !b.is_empty();
             }
-        }
-        for &v in &group {
-            local[v as usize] = usize::MAX;
         }
         if accept {
             work.push(a);
@@ -332,6 +381,7 @@ mod tests {
     use crate::generators::{planted_partition, PlantedConfig};
     use crate::GraphBuilder;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     /// Two 5-cliques joined by one edge — unambiguous two-community graph.
@@ -346,6 +396,109 @@ mod tests {
         }
         b.add_edge(0, 5).unwrap();
         b.build()
+    }
+
+    /// The row-at-a-time matvec over the group's global adjacency rows,
+    /// kept as the oracle `GroupCsr::matvec` must match to the bit.
+    fn modularity_matvec(
+        g: &Graph,
+        group: &[NodeId],
+        local: &[usize],
+        deg_in_group: &[f64],
+        group_volume: f64,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        let two_m = g.total_volume() as f64;
+        let kx: f64 = group
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| g.degree(v) as f64 * x[i])
+            .sum();
+        for (i, &v) in group.iter().enumerate() {
+            let k_i = g.degree(v) as f64;
+            let mut a_x = 0.0;
+            for &u in g.neighbors(v) {
+                let j = local[u as usize];
+                if j != usize::MAX {
+                    a_x += x[j];
+                }
+            }
+            let self_term = deg_in_group[i] - k_i * group_volume / two_m;
+            y[i] = a_x - k_i * kx / two_m - x[i] * self_term;
+        }
+    }
+
+    /// `GroupCsr::matvec` against the oracle, `to_bits`, on seeded random
+    /// graphs and groups: groups of 2–5 nodes (fewer rows than the
+    /// interleave width, or one quad and a tail), rows shorter than four
+    /// entries, rows with out-of-group neighbours, and shifted runs.
+    #[test]
+    fn group_matvec_matches_the_row_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for trial in 0..60 {
+            let n = 8 + trial % 50;
+            let p = [0.05, 0.2, 0.6][trial % 3];
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as NodeId {
+                for v in (u + 1)..n as NodeId {
+                    if rng.gen_bool(p) {
+                        b.add_edge(u, v).unwrap();
+                    }
+                }
+            }
+            let g = b.build();
+            if g.num_edges() == 0 {
+                continue;
+            }
+            let size = if trial % 2 == 0 {
+                2 + trial % 4
+            } else {
+                rng.gen_range(2..=n)
+            };
+            let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
+            nodes.shuffle(&mut rng);
+            let group = &nodes[..size];
+            let mut local = vec![usize::MAX; n];
+            let mut local32 = vec![u32::MAX; n];
+            for (i, &v) in group.iter().enumerate() {
+                local[v as usize] = i;
+                local32[v as usize] = i as u32;
+            }
+            let deg_in_group: Vec<f64> = group
+                .iter()
+                .map(|&v| {
+                    g.neighbors(v)
+                        .iter()
+                        .filter(|&&u| local[u as usize] != usize::MAX)
+                        .count() as f64
+                })
+                .collect();
+            let group_volume: f64 = group.iter().map(|&v| g.degree(v) as f64).sum();
+            let csr = GroupCsr::new(&g, group, &local32);
+            for shift in [0.0, 2.75] {
+                let x: Vec<f64> = (0..size).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut want = vec![0.0; size];
+                modularity_matvec(
+                    &g,
+                    group,
+                    &local,
+                    &deg_in_group,
+                    group_volume,
+                    &x,
+                    &mut want,
+                );
+                if shift != 0.0 {
+                    for i in 0..size {
+                        want[i] += shift * x[i];
+                    }
+                }
+                let mut got = vec![0.0; size];
+                csr.matvec(&x, shift, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "trial {trial}, shift {shift}");
+            }
+        }
     }
 
     #[test]

@@ -128,18 +128,18 @@ impl CategoryMatrix {
     }
 
     /// Iterates the stored triangle as `(a, b, value)` with `a <= b`, in
-    /// ascending `(a, b)` order.
+    /// ascending `(a, b)` order — the storage order, so each cell is read
+    /// straight from the triangle without re-deriving its index.
     pub fn iter_upper(&self) -> impl Iterator<Item = (CategoryId, CategoryId, f64)> + '_ {
-        let c = self.num_categories;
-        (0..c).flat_map(move |a| {
-            (a..c).map(move |b| {
-                (
-                    a as CategoryId,
-                    b as CategoryId,
-                    self.get(a as CategoryId, b as CategoryId),
-                )
-            })
-        })
+        self.upper_pairs()
+            .zip(&self.data)
+            .map(|((a, b), &x)| (a, b, x))
+    }
+
+    /// The stored triangle's `(a, b)` pairs in storage order.
+    fn upper_pairs(&self) -> impl Iterator<Item = (CategoryId, CategoryId)> {
+        let c = self.num_categories as CategoryId;
+        (0..c).flat_map(move |a| (a..c).map(move |b| (a, b)))
     }
 
     /// Like [`CategoryMatrix::iter_upper`], skipping zero entries.
@@ -173,12 +173,8 @@ impl CategoryMatrix {
             out.num_categories, self.num_categories,
             "output matrix dimension mismatch"
         );
-        for a in 0..self.num_categories {
-            for b in a..self.num_categories {
-                let (a, b) = (a as CategoryId, b as CategoryId);
-                let v = f(a, b, self.get(a, b));
-                out.set(a, b, v);
-            }
+        for (((a, b), &x), o) in self.upper_pairs().zip(&self.data).zip(&mut out.data) {
+            *o = f(a, b, x);
         }
     }
 }
@@ -229,6 +225,20 @@ mod tests {
             for b in a..5u32 {
                 assert_eq!(m.get(a, b), expected[&(a, b)], "({a},{b})");
             }
+        }
+        // The storage-order walks agree with `get` on every cell.
+        assert_eq!(m.iter_upper().count(), expected.len());
+        for (a, b, x) in m.iter_upper() {
+            assert_eq!(x, expected[&(a, b)], "iter_upper ({a},{b})");
+        }
+        let mut out = CategoryMatrix::zeros(5);
+        m.map_upper_into(&mut out, |a, b, x| x * 10.0 + (a * 5 + b) as f64);
+        for (&(a, b), &x) in &expected {
+            assert_eq!(
+                out.get(a, b),
+                x * 10.0 + (a * 5 + b) as f64,
+                "map ({a},{b})"
+            );
         }
     }
 

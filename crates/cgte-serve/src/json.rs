@@ -10,47 +10,54 @@ use std::fmt::Write as _;
 /// Renders an `f64` as a JSON value; non-finite values (which the
 /// estimators never produce for defined estimates) become `null`.
 pub fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_f64(&mut out, x);
+    out
 }
 
-/// Renders an optional estimate: `None` (undefined) is `null`.
-pub fn fmt_opt(x: Option<f64>) -> String {
-    match x {
-        Some(v) => fmt_f64(v),
-        None => "null".to_string(),
+/// Appends `x` as [`fmt_f64`] renders it.
+pub fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
     }
 }
 
 /// Renders a `[..]` array of `f64`s.
 pub fn fmt_array(xs: &[f64]) -> String {
     let mut out = String::with_capacity(xs.len() * 8 + 2);
-    out.push('[');
-    for (i, &x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", fmt_f64(x));
-    }
-    out.push(']');
+    push_array(&mut out, xs);
     out
 }
 
-/// Renders a `[..]` array of optional estimates (`null` where undefined).
-pub fn fmt_opt_array(xs: &[Option<f64>]) -> String {
-    let mut out = String::with_capacity(xs.len() * 8 + 2);
+/// Appends a `[..]` array of `f64`s.
+pub fn push_array(out: &mut String, xs: &[f64]) {
+    push_list(out, xs, |out, &x| push_f64(out, x));
+}
+
+/// Appends a `[..]` array of optional estimates (`null` where undefined).
+pub fn push_opt_array(out: &mut String, xs: &[Option<f64>]) {
+    push_list(out, xs, |out, &x| match x {
+        Some(v) => push_f64(out, v),
+        None => out.push_str("null"),
+    });
+}
+
+/// Appends `[` + each item by `push`, comma-separated, + `]`.
+pub(crate) fn push_list<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut push: impl FnMut(&mut String, I::Item),
+) {
     out.push('[');
-    for (i, &x) in xs.iter().enumerate() {
+    for (i, x) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", fmt_opt(x));
+        push(out, x);
     }
     out.push(']');
-    out
 }
 
 /// Escapes a string for inclusion in a JSON document (quotes included).
@@ -95,7 +102,10 @@ mod tests {
     #[test]
     fn arrays_and_options() {
         assert_eq!(fmt_array(&[1.0, 2.5]), "[1,2.5]");
-        assert_eq!(fmt_opt_array(&[Some(1.0), None]), "[1,null]");
+        assert_eq!(fmt_array(&[]), "[]");
+        let mut out = String::from("x");
+        push_opt_array(&mut out, &[Some(1.0), None, Some(f64::INFINITY)]);
+        assert_eq!(out, "x[1,null,null]");
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! explicit sampled node ids or server-side walk step budgets, queryable
 //! for estimates at any prefix.
 
-use crate::json::{fmt_array, fmt_f64, fmt_opt_array, fmt_str};
+use crate::json::{fmt_f64, fmt_str, push_array, push_f64, push_list, push_opt_array};
 use crate::registry::LoadedGraph;
 use crate::ServeError;
 use cgte_core::bootstrap::{bootstrap_induced, bootstrap_star};
 use cgte_core::category_size::{induced_size, star_size};
 use cgte_core::{estimate_stream_into, StarSizeOptions, StreamEstimate};
 use cgte_graph::store::{Container, Section};
-use cgte_graph::{Graph, NodeId, Partition};
+use cgte_graph::{CategoryMatrix, Graph, NodeId, Partition};
 use cgte_sampling::{
     snapshot, AnySampler, DesignKind, InducedSample, MetropolisHastingsWalk, NeighborCategoryIndex,
     NodeSampler, ObservationContext, ObservationStream, RandomWalk, StarSample, Swrw,
@@ -159,6 +159,16 @@ pub fn build_sampler_with(
     Ok((sampler, design))
 }
 
+/// Appends a weight matrix's non-zero cells as sparse `[[a, b, w], …]`
+/// triplets in ascending `(a, b)` order.
+fn push_weights(out: &mut String, m: &CategoryMatrix) {
+    push_list(out, m.iter_nonzero(), |out, (a, b, w)| {
+        let _ = write!(out, "[{a},{b},");
+        push_f64(out, w);
+        out.push(']');
+    });
+}
+
 /// One open estimation session.
 pub struct Session {
     /// The session id (`s0`, `s1`, …).
@@ -265,13 +275,13 @@ impl Session {
         self.stream.is_empty()
     }
 
-    /// Heap bytes the session holds: its observation stream. A walk ingest
-    /// pushes each node as it is drawn, so the session keeps no node
-    /// buffer. The neighbor-category index and the S-WRW walk table are
-    /// shared by every session on the partition and belong to the graph, so
-    /// they are not counted here.
+    /// Heap bytes the session holds: its observation stream and its
+    /// reusable estimate buffer. A walk ingest pushes each node as it is
+    /// drawn, so the session keeps no node buffer. The neighbor-category
+    /// index and the S-WRW walk table are shared by every session on the
+    /// partition and belong to the graph, so they are not counted here.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stream.heap_bytes()
+        self.stream.heap_bytes() + self.est.heap_bytes()
     }
 
     /// The population size `N` estimates are scaled by.
@@ -405,37 +415,28 @@ impl Session {
         let mut out = String::with_capacity(4096);
         let _ = write!(
             out,
-            "{{\"session\":{},\"len\":{},\"population\":{},\"num_categories\":{},",
+            "{{\"session\":{},\"len\":{},\"population\":",
             fmt_str(&self.id),
             est.len,
-            fmt_f64(est.population),
-            self.num_categories(),
         );
+        push_f64(&mut out, est.population);
         let _ = write!(
             out,
-            "\"sizes\":{{\"induced\":{},\"star\":{}}},",
-            if est.induced_defined {
-                fmt_array(&est.sizes_induced)
-            } else {
-                "null".to_string()
-            },
-            fmt_opt_array(&est.sizes_star),
+            ",\"num_categories\":{},\"sizes\":{{\"induced\":",
+            self.num_categories()
         );
-        out.push_str("\"weights\":{\"induced\":[");
-        for (i, (a, b, w)) in est.weights_induced.iter_nonzero().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{a},{b},{}]", fmt_f64(w));
+        if est.induced_defined {
+            push_array(&mut out, &est.sizes_induced);
+        } else {
+            out.push_str("null");
         }
-        out.push_str("],\"star\":[");
-        for (i, (a, b, w)) in est.weights_star.iter_nonzero().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{a},{b},{}]", fmt_f64(w));
-        }
-        out.push_str("]}");
+        out.push_str(",\"star\":");
+        push_opt_array(&mut out, &est.sizes_star);
+        out.push_str("},\"weights\":{\"induced\":");
+        push_weights(&mut out, &est.weights_induced);
+        out.push_str(",\"star\":");
+        push_weights(&mut out, &est.weights_star);
+        out.push('}');
         if let Some((level, reps)) = ci {
             out.push(',');
             out.push_str(&self.ci_json(level, reps));
@@ -680,16 +681,21 @@ mod tests {
     }
 
     /// A walk ingest pushes each node as it is drawn: the session holds
-    /// its stream and no node buffer besides.
+    /// its stream and its estimate buffer, and no node buffer besides.
     #[test]
-    fn heap_bytes_are_the_stream_alone() {
+    fn heap_bytes_are_the_stream_and_the_estimate() {
         let n = 1000;
         let g = GraphBuilder::from_edges(n, (0..n as NodeId).map(|u| (u, (u + 1) % n as NodeId)))
             .unwrap();
         let p = Partition::blocks(n, &[n / 2; 2]).unwrap();
         let mut s = open_rw(g, p, None);
         assert_eq!(s.ingest_steps(10_000).unwrap(), 10_000);
-        assert_eq!(s.heap_bytes(), s.stream.heap_bytes());
+        s.estimate_json(None);
+        // Two categories: two 2-entry f64 vectors, two 3-cell triangles
+        // and one 2-entry Option<f64> vector.
+        let est = (2 + 2 + 3 + 3) * 8 + 2 * std::mem::size_of::<Option<f64>>();
+        assert!(s.est.heap_bytes() >= est, "{}", s.est.heap_bytes());
+        assert_eq!(s.heap_bytes(), s.stream.heap_bytes() + s.est.heap_bytes());
     }
 
     /// An edgeless graph fails the walk before its first node: 422, and
